@@ -82,12 +82,12 @@ def parse_group(text: str) -> GroupSpec:
     if name in ("C", "C*"):
         return GroupSpec.complexes()
     m = _GROUP_NAME.match(name)
-    if m:
-        q = int(m.group(1))
-        if m.group(2):
-            return GroupSpec.rational_functions(q)
-        return GroupSpec.finite_field(q)
     try:
+        if m:
+            q = int(m.group(1))
+            if m.group(2):
+                return GroupSpec.rational_functions(q)
+            return GroupSpec.finite_field(q)
         return GroupSpec.from_json(name)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse group {text!r}: {exc}") from exc
@@ -111,9 +111,12 @@ def _load_complex(path: str) -> MarkedComplex:
 
 
 def _cmd_check(args) -> int:
-    from .search import check_theorem
+    from .search import UnsupportedField, check_theorem
 
-    verdict = check_theorem(_load_matrix(args.matrix), args.q)
+    try:
+        verdict = check_theorem(_load_matrix(args.matrix), args.q)
+    except UnsupportedField as exc:
+        raise UsageError(f"no projective plane of order {args.q} is supported") from exc
     _emit(_report(args, [args.matrix], q=args.q, verdict=verdict.to_json_obj()))
     if verdict.outcome in ("true", "vacuous"):
         return 0
@@ -161,6 +164,10 @@ def _cmd_propagate(args) -> int:
     except SeedConflict as exc:
         _emit(_report(args, [args.matrix], conflict=str(exc)))
         return 1
+    except IndexError as exc:
+        raise UsageError(f"--seed cell {exc} lies outside the {mat.m}x{mat.n} matrix") from exc
+    except ValueError as exc:
+        raise UsageError(f"bad --seed or --sweeps: {exc}") from exc
     _emit(_report(args, [args.matrix], matrix=result.to_json_obj()))
     return 0
 
@@ -257,7 +264,12 @@ def _cmd_grope(args) -> int:
         if args.seed is None:
             raise UsageError("grope random requires --seed")
         G = parse_group(args.group)
-        ks = tuple(int(k) for k in args.ks.split(","))
+        try:
+            ks = tuple(int(k) for k in args.ks.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad --ks {args.ks!r}; expected integers") from exc
+        if min(ks) < 2:
+            raise UsageError(f"bad --ks {args.ks!r}; wrap counts must be at least 2")
         grope = random_grope(random.Random(args.seed), G, ks=ks)
     _emit(_report(args, [], grope=grope.to_json_obj()))
     return 0

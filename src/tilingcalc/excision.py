@@ -55,13 +55,13 @@ class GroupSpec:
     @classmethod
     def finite_field(cls, q: int) -> "GroupSpec":
         if q < 2:
-            raise ValueError(q)
+            raise ValueError(f"field order must be at least 2, got {q}")
         return cls(False, (q - 1,))
 
     @classmethod
     def rational_functions(cls, q: int) -> "GroupSpec":
         if q < 2:
-            raise ValueError(q)
+            raise ValueError(f"field order must be at least 2, got {q}")
         return cls(True, (q - 1,))
 
     def exponent(self) -> int | None:
@@ -254,13 +254,14 @@ def _assert_snf(A, U, D, V):
 # -- excision decisions ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _quotient_class(K: DeltaComplex, face: int):
-    """Coordinates of the face's boundary row in the cokernel of the
-    other faces' rows: lists of (coordinate value, torsion order) with
-    order 0 meaning a free coordinate."""
-    if not 0 <= face < len(K.faces):
-        raise FaceNotFound(face)
+@functools.lru_cache(maxsize=1)
+def _factorisation(K: DeltaComplex, face: int):
+    """Smith normal form of the boundary rows of every face but the
+    given one (a face index in range): the face's own row, the diagonal
+    (0 past the rank) and the column transform V.  The decision, the
+    oracle and the witness for one (complex, face) all read this.  Their
+    callers ask about one face at a time, and V is edges x edges, so
+    only the latest is kept; `_quotient_class` memoises decisions."""
     rows = boundary_matrix(K)
     b0 = rows[face]
     B = [rows[f] for f in range(len(rows)) if f != face]
@@ -268,12 +269,20 @@ def _quotient_class(K: DeltaComplex, face: int):
         B = [[0] * len(K.edges)]
     _, D, V = smith_normal_form(B)
     ncols = len(K.edges)
-    y = [sum(b0[e] * V[e][j] for e in range(ncols)) for j in range(ncols)]
-    out = []
-    for j in range(ncols):
-        d = D[j][j] if j < min(len(D), ncols) else 0
-        out.append((y[j], d))
-    return out
+    diag = [D[j][j] if j < min(len(D), ncols) else 0 for j in range(ncols)]
+    return b0, diag, V
+
+
+@functools.lru_cache(maxsize=4096)
+def _quotient_class(K: DeltaComplex, face: int):
+    """Coordinates of the face's boundary row in the cokernel of the
+    other faces' rows: lists of (coordinate value, torsion order) with
+    order 0 meaning a free coordinate."""
+    if not 0 <= face < len(K.faces):
+        raise FaceNotFound(face)
+    b0, diag, V = _factorisation(K, face)
+    ncols = len(diag)
+    return [(sum(b0[e] * V[e][j] for e in range(ncols)), diag[j]) for j in range(ncols)]
 
 
 def can_excise(K: DeltaComplex, face: int, G: GroupSpec) -> bool:
@@ -313,17 +322,11 @@ def _oracle_solutions(K: DeltaComplex, face: int, n: int):
         raise FaceNotFound(face)
     if len(K.edges) > _ORACLE_MAX_EDGES or n > _ORACLE_MAX_MODULUS or n < 2:
         raise TooLarge((len(K.edges), n))
-    rows = boundary_matrix(K)
-    b0 = rows[face]
-    B = [rows[f] for f in range(len(rows)) if f != face]
-    if not B:
-        B = [[0] * len(K.edges)]
-    _, D, V = smith_normal_form(B)
-    ncols = len(K.edges)
+    b0, diag, V = _factorisation(K, face)
+    ncols = len(diag)
     choices = []
     total = 1
-    for j in range(ncols):
-        d = D[j][j] if j < min(len(D), ncols) else 0
+    for d in diag:
         g = gcd(d, n)
         step = n // g if g else 1
         vals = list(range(0, n, step)) if g else list(range(n))

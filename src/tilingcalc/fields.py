@@ -124,9 +124,6 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")

@@ -13,10 +13,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .excision import GroupSpec, torsion_coprime
-from .surfaces import DeltaComplex, FaceNotFound, is_closed_orientable_surface
+from .surfaces import (
+    DeltaComplex,
+    FaceNotFound,
+    edge_uses,
+    is_closed_orientable_surface,
+    orient,
+    rim_word,
+)
 
 
 class NotAClosedOrientableSurface(ValueError):
@@ -38,73 +45,27 @@ class BoundedSurface:
 
     complex: DeltaComplex
     boundary: tuple[int, ...]
+    _rim: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", tuple(int(v) for v in self.boundary))
         K = self.complex
         if len(set(self.boundary)) != len(self.boundary) or not self.boundary:
             raise BadBoundary("boundary vertices must be distinct")
-        uses: dict[int, list[tuple[int, int]]] = {e: [] for e in range(len(K.edges))}
-        for f, face in enumerate(K.faces):
-            for e, d in face:
-                uses[e].append((f, d))
-        rim = [e for e, u in uses.items() if len(u) == 1]
+        uses = edge_uses(K)
         if any(len(u) > 2 for u in uses.values()):
             raise BadBoundary("an edge lies in more than two faces")
-        L = len(self.boundary)
-        cycle_edges = []
-        for i in range(L):
-            want = {self.boundary[i], self.boundary[(i + 1) % L]}
-            hits = [e for e in rim if set(K.edges[e]) == want]
-            if len(hits) != 1:
-                raise BadBoundary(f"no unique rim edge between {sorted(want)}")
-            cycle_edges.append(hits[0])
-        if sorted(cycle_edges) != sorted(rim):
+        rim = rim_word(K, uses, self.boundary)
+        if rim is None:
             raise BadBoundary("rim edges do not match the declared cycle")
-        self._check_orientable(uses, set(rim))
-
-    def _check_orientable(self, uses, rim):
-        K = self.complex
-        nf = len(K.faces)
-        if nf == 0:
-            raise BadBoundary("no faces")
-        sign = [0] * nf
-        sign[0] = 1
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            for e, d in K.faces[f]:
-                if e in rim:
-                    continue
-                (f1, d1), (f2, d2) = uses[e]
-                g, dg = (f2, d2) if f1 == f and d1 == d else (f1, d1)
-                if f1 == f2:
-                    if d1 == d2:
-                        raise BadBoundary("non-orientable identification")
-                    continue
-                need = -sign[f] * d * dg
-                if sign[g] == 0:
-                    sign[g] = need
-                    stack.append(g)
-                elif sign[g] != need:
-                    raise BadBoundary("non-orientable identification")
-        if any(s == 0 for s in sign):
-            raise BadBoundary("disconnected surface")
+        if orient(K, uses) is None:
+            raise BadBoundary("non-orientable or disconnected surface")
+        object.__setattr__(self, "_rim", tuple(rim))
 
     def rim_edge(self, i: int) -> tuple[int, int]:
         """The edge between boundary vertices i and i+1, with +1 when it
         is stored in the direction of the cycle."""
-        K = self.complex
-        L = len(self.boundary)
-        a, b = self.boundary[i], self.boundary[(i + 1) % L]
-        uses: dict[int, int] = {}
-        for face in K.faces:
-            for e, _ in face:
-                uses[e] = uses.get(e, 0) + 1
-        for e, (t, h) in enumerate(K.edges):
-            if uses.get(e, 0) == 1 and {t, h} == {a, b}:
-                return (e, 1 if (t, h) == (a, b) else -1)
-        raise BadBoundary((a, b))
+        return self._rim[i]
 
 
 def fan_disc(sides: int) -> BoundedSurface:

@@ -18,11 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surfaces import DeltaComplex
-
-
-class NotCollinear(ValueError):
-    pass
+from .plane import NotCollinear
+from .surfaces import DeltaComplex, cycle_order, edge_uses, orient, rim_word
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -275,14 +272,6 @@ def verify_skew_configuration(mat, config: SkewConfiguration) -> bool:
 # -- triangulated discs ----------------------------------------------------
 
 
-def _edge_uses(K: DeltaComplex, faces) -> dict[int, int]:
-    uses: dict[int, int] = {}
-    for f in faces:
-        for e, _ in K.faces[f]:
-            uses[e] = uses.get(e, 0) + 1
-    return uses
-
-
 def _check_disc(K: DeltaComplex, faces, boundary) -> None:
     """Raise NotADisc unless the face subset with this boundary cycle is
     a connected, simply connected triangulated disc."""
@@ -290,39 +279,17 @@ def _check_disc(K: DeltaComplex, faces, boundary) -> None:
         raise NotADisc("no faces")
     if len(set(boundary)) != len(boundary) or len(boundary) < 3:
         raise NotADisc("boundary vertices must be at least three, distinct")
-    uses = _edge_uses(K, faces)
-    if any(u > 2 for u in uses.values()):
+    uses = edge_uses(K, faces)
+    if any(len(u) > 2 for u in uses.values()):
         raise NotADisc("an edge lies in more than two faces")
-    rim = sorted(e for e, u in uses.items() if u == 1)
-    L = len(boundary)
-    cycle = []
-    for t in range(L):
-        want = {boundary[t], boundary[(t + 1) % L]}
-        hits = [e for e in rim if set(K.edges[e]) == want]
-        if len(hits) != 1:
-            raise NotADisc(f"no unique boundary edge between {sorted(want)}")
-        cycle.append(hits[0])
-    if sorted(cycle) != rim:
+    if rim_word(K, uses, boundary) is None:
         raise NotADisc("boundary edges do not match the declared cycle")
     verts = {v for e in uses for v in K.edges[e]}
     if len(verts) - len(uses) + len(faces) != 1:
         raise NotADisc("wrong alternating count for a disc")
-    # connectivity over shared edges
-    faces = list(faces)
-    reach = {faces[0]}
-    frontier = [faces[0]]
-    by_edge: dict[int, list[int]] = {}
-    for f in faces:
-        for e, _ in K.faces[f]:
-            by_edge.setdefault(e, []).append(f)
-    while frontier:
-        f = frontier.pop()
-        for e, _ in K.faces[f]:
-            for g in by_edge[e]:
-                if g not in reach:
-                    reach.add(g)
-                    frontier.append(g)
-    if len(reach) != len(faces):
+    # connected with one rim cycle and alternating count 1 makes a disc,
+    # which is orientable: orient fails here only on disconnected faces
+    if orient(K, uses) is None:
         raise NotADisc("disconnected")
 
 
@@ -340,7 +307,7 @@ def _free_faces(K: DeltaComplex, faces, boundary_vertices, uses) -> list[int]:
     out = []
     for f in faces:
         edges = {e for e, _ in K.faces[f]}
-        rim_edges = sum(1 for e in edges if uses[e] == 1)
+        rim_edges = sum(1 for e in edges if len(uses[e]) == 1)
         interior_vertex = any(
             v not in boundary_vertices for v in K.face_vertices(f)
         )
@@ -353,33 +320,14 @@ def free_faces(D: TriangulatedDisc) -> list[int]:
     """Faces whose removal keeps the complex a triangulated disc: two
     boundary edges, or one boundary edge plus an interior vertex."""
     K = D.complex
-    faces = list(range(len(K.faces)))
-    return _free_faces(K, faces, set(D.boundary), _edge_uses(K, faces))
+    return _free_faces(K, range(len(K.faces)), set(D.boundary), edge_uses(K))
 
 
-def _boundary_after(K: DeltaComplex, faces) -> tuple[int, ...]:
-    """The boundary vertex cycle of a face subset, from its rim edges."""
-    uses = _edge_uses(K, faces)
-    rim = [e for e, u in uses.items() if u == 1]
-    nxt: dict[int, list[int]] = {}
-    for e in rim:
-        t, h = K.edges[e]
-        nxt.setdefault(t, []).append(h)
-        nxt.setdefault(h, []).append(t)
-    if any(len(v) != 2 for v in nxt.values()):
+def _boundary_after(K: DeltaComplex, uses) -> tuple[int, ...]:
+    """The boundary vertex cycle traced by the rim edges of `uses`."""
+    cycle = cycle_order(K.edges[e] for e, u in uses.items() if len(u) == 1)
+    if cycle is None:
         raise NotADisc("boundary is not a simple cycle")
-    start = min(nxt)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = nxt[cur]
-        nxt_v = b if a == prev else a
-        if nxt_v == start:
-            break
-        cycle.append(nxt_v)
-        prev, cur = cur, nxt_v
-        if len(cycle) > len(rim):
-            raise NotADisc("boundary is not a simple cycle")
     return tuple(cycle)
 
 
@@ -388,16 +336,17 @@ def shell(D: TriangulatedDisc) -> list[int]:
     face; every intermediate subset is verified to remain a disc."""
     K = D.complex
     faces = list(range(len(K.faces)))
+    uses, boundary = edge_uses(K), D.boundary
     order = []
     while len(faces) > 1:
-        uses = _edge_uses(K, faces)
-        boundary = _boundary_after(K, faces)
         free = _free_faces(K, faces, set(boundary), uses)
         if not free:
             raise NotADisc("no free face available")
         f = min(free)
         faces.remove(f)
-        _check_disc(K, faces, _boundary_after(K, faces))
+        uses = edge_uses(K, faces)
+        boundary = _boundary_after(K, uses)
+        _check_disc(K, faces, boundary)
         order.append(f)
     return order
 
@@ -453,17 +402,7 @@ def evaluate_boundary(D: TriangulatedDisc, values, one: Quaternion | None = None
             raise FlatnessViolated(f)
 
     # direct product along the declared boundary
-    uses = _edge_uses(K, range(len(K.faces)))
-    L = len(D.boundary)
-    word: list[tuple[int, int]] = []
-    for t in range(L):
-        a, b = D.boundary[t], D.boundary[(t + 1) % L]
-        e = next(
-            e
-            for e, u in uses.items()
-            if u == 1 and set(K.edges[e]) == {a, b}
-        )
-        word.append((e, 1 if K.edges[e] == (a, b) else -1))
+    word = rim_word(K, edge_uses(K), D.boundary)
     direct = one
     for de in word:
         direct = direct * of(de)

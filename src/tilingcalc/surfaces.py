@@ -95,9 +95,6 @@ class DeltaComplex:
     def face_edges(self, f: int) -> tuple[int, int, int]:
         return tuple(e for e, _ in self.faces[f])
 
-    def edge_vertices(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def faces_of_edge(self, e: int) -> list[int]:
         return [f for f in range(len(self.faces)) if e in self.face_edges(f)]
 
@@ -161,26 +158,31 @@ def _dart_at(K: DeltaComplex, de: tuple[int, int], arriving: bool):
     return (e, end)
 
 
-def is_closed_orientable_surface(K: DeltaComplex):
-    """Per-face direction choices (+1 keep, -1 flip) orienting K as a
-    connected closed orientable surface, or None."""
-    nf = len(K.faces)
-    if nf == 0:
+def edge_uses(K: DeltaComplex, faces=None) -> dict[int, list[tuple[int, int]]]:
+    """Each edge traversed by the given faces (all faces by default),
+    mapped to its (face, direction) traversals in face order."""
+    uses: dict[int, list[tuple[int, int]]] = {}
+    for f in range(len(K.faces)) if faces is None else faces:
+        for e, d in K.faces[f]:
+            uses.setdefault(e, []).append((f, d))
+    return uses
+
+
+def orient(K: DeltaComplex, uses) -> dict[int, int] | None:
+    """Face signs (+1 keep, -1 flip) under which every edge used twice
+    is traversed once each way, or None when the faces of `uses` are
+    non-orientable or not connected across such edges.  Edges used once
+    (rim edges) impose nothing; no edge may be used more than twice."""
+    faces = sorted({f for u in uses.values() for f, _ in u})
+    if not faces:
         return None
-    # each edge must be traversed exactly twice in total
-    uses: dict[int, list[tuple[int, int]]] = {e: [] for e in range(len(K.edges))}
-    for f, face in enumerate(K.faces):
-        for e, d in face:
-            uses[e].append((f, d))
-    if any(len(u) != 2 for u in uses.values()):
-        return None
-    # orientability: flips must make the two traversals opposite
-    sign = [0] * nf
-    sign[0] = 1
-    stack = [0]
+    sign = {faces[0]: 1}
+    stack = [faces[0]]
     while stack:
         f = stack.pop()
         for e, d in K.faces[f]:
+            if len(uses[e]) == 1:
+                continue
             (f1, d1), (f2, d2) = uses[e]
             g, dg = (f2, d2) if f1 == f and d1 == d else (f1, d1)
             if f1 == f2:  # both traversals inside one face
@@ -188,13 +190,64 @@ def is_closed_orientable_surface(K: DeltaComplex):
                     return None
                 continue
             need = -sign[f] * d * dg
-            if sign[g] == 0:
+            if g not in sign:
                 sign[g] = need
                 stack.append(g)
             elif sign[g] != need:
                 return None
-    if any(s == 0 for s in sign):
-        return None  # disconnected
+    return sign if len(sign) == len(faces) else None
+
+
+def rim_word(K: DeltaComplex, uses, boundary) -> list[tuple[int, int]] | None:
+    """The rim edges (edges used once) along the cyclic vertex sequence
+    `boundary`, each with +1 when stored in the direction of the cycle;
+    None unless every step has exactly one rim edge and these are all
+    the rim edges."""
+    rim = [e for e, u in uses.items() if len(u) == 1]
+    L = len(boundary)
+    word = []
+    for i in range(L):
+        a, b = boundary[i], boundary[(i + 1) % L]
+        hits = [e for e in rim if set(K.edges[e]) == {a, b}]
+        if len(hits) != 1:
+            return None
+        word.append((hits[0], 1 if K.edges[hits[0]] == (a, b) else -1))
+    if sorted(e for e, _ in word) != sorted(rim):
+        return None
+    return word
+
+
+def cycle_order(pairs) -> list | None:
+    """The nodes of the graph with these edges (node pairs) in order
+    around it, from the least node toward its first neighbour; None
+    unless every node has two neighbours and all lie on one cycle."""
+    adj: dict = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj or any(len(nbrs) != 2 for nbrs in adj.values()):
+        return None
+    order, prev = [min(adj)], None
+    while len(order) <= len(adj):
+        a, b = adj[order[-1]]
+        nxt = b if a == prev else a
+        if nxt == order[0]:
+            return order if len(order) == len(adj) else None
+        prev = order[-1]
+        order.append(nxt)
+    return None
+
+
+def is_closed_orientable_surface(K: DeltaComplex):
+    """Per-face direction choices (+1 keep, -1 flip) orienting K as a
+    connected closed orientable surface, or None."""
+    # each edge must be traversed exactly twice in total
+    uses = edge_uses(K)
+    if len(uses) != len(K.edges) or any(len(u) != 2 for u in uses.values()):
+        return None
+    sign = orient(K, uses)
+    if sign is None:
+        return None
     # vertex links must be single cycles
     corners: dict[int, list[tuple]] = {v: [] for v in range(K.vertex_count)}
     for face in K.faces:
@@ -202,29 +255,9 @@ def is_closed_orientable_surface(K: DeltaComplex):
             d_in, d_out = face[k], face[(k + 1) % 3]
             v = K.de_head(d_in)
             corners[v].append((_dart_at(K, d_in, True), _dart_at(K, d_out, False)))
-    for v, cs in corners.items():
-        if not cs:
-            return None  # isolated vertex
-        adj: dict[tuple, list[tuple]] = {}
-        for a, b in cs:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if any(len(nbrs) != 2 for nbrs in adj.values()):
-            return None
-        start = next(iter(adj))
-        prev, cur, count = None, start, 0
-        while True:
-            nxt = [x for x in adj[cur] if x is not prev and x != prev]
-            step = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, step
-            count += 1
-            if cur == start:
-                break
-            if count > len(adj):
-                return None
-        if count != len(adj):
-            return None
-    return tuple(sign)
+    if any(cycle_order(cs) is None for cs in corners.values()):
+        return None
+    return tuple(sign[f] for f in range(len(K.faces)))
 
 
 def euler_characteristic(K: DeltaComplex) -> int:

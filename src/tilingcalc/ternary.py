@@ -191,6 +191,8 @@ def propagate(
         raise ValueError("max_sweeps must be 'fixpoint' or a nonnegative int")
     grid = [list(r) for r in mat.rows()]
     for i, j, v in seeds:
+        if not (1 <= i <= mat.m and 1 <= j <= mat.n):
+            raise IndexError((i, j))
         cur = grid[i - 1][j - 1]
         if v not in _VALID:
             raise ValueError(v)

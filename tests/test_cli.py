@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import tilingcalc
 from tilingcalc.catalog import pappus_case1_golden
 from tilingcalc.cli import UsageError, main, parse_group
 from tilingcalc.complexes import desargues_tetrahedron, one_line_complex
@@ -90,6 +95,12 @@ class TestPropagate:
     def test_bad_seed_syntax(self, capsys):
         code, _ = run(capsys, "propagate", fx("pappus12x9.json"), "--seed", "alpha")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["0,0,-1", "99,99,1", "13,1,1"])
+    def test_seed_out_of_range(self, capsys, seed):
+        code, report = run(capsys, "propagate", fx("pappus12x9.json"), "--seed", seed)
+        assert code == 2
+        assert report is None
 
 
 class TestExcise:
@@ -232,6 +243,32 @@ class TestPlumbing:
         code = main(["check", "/nonexistent.json", "--q", "2"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", fx("fano.json"), "--q", "6"],
+            ["excise", fx("ninegon-grope.json"), "--face", "marked", "--group", "F1"],
+            ["grope", "random", "--seed", "1", "--group", "F1"],
+            ["grope", "random", "--seed", "1", "--group", "F0(X)*"],
+            ["grope", "random", "--seed", "1", "--ks", "1"],
+            ["grope", "random", "--seed", "1", "--ks", "x"],
+            ["propagate", fx("pappus12x9.json"), "--seed", "1,1,5"],
+            ["propagate", fx("pappus12x9.json"), "--sweeps", "-1"],
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv):
+        src = str(Path(tilingcalc.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tilingcalc.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_reports_carry_input_digests(self, capsys):
         _, report = run(capsys, "generate", fx("desargues-tetrahedron.json"))

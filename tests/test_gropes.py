@@ -33,6 +33,28 @@ from tilingcalc.surfaces import (
 )
 
 
+def from_triangles(nv, triangles):
+    """Delta complex on nv vertices from vertex triples, with one edge
+    per unordered pair stored low to high."""
+    edges, faces = {}, []
+    for tri in triangles:
+        walk = []
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            key = (min(a, b), max(a, b))
+            e = edges.setdefault(key, len(edges))
+            walk.append((e, 1 if (a, b) == key else -1))
+        faces.append(tuple(walk))
+    return DeltaComplex(nv, tuple(edges), tuple(faces))
+
+
+def disjoint_union(A, B):
+    """A and B side by side, B's vertices and edges numbered after A's."""
+    nv, ne = A.vertex_count, len(A.edges)
+    edges = A.edges + tuple((t + nv, h + nv) for t, h in B.edges)
+    faces = A.faces + tuple(tuple((e + ne, d) for e, d in f) for f in B.faces)
+    return DeltaComplex(nv + B.vertex_count, edges, faces)
+
+
 class TestFanDisc:
     def test_counts(self):
         disc = fan_disc(9)
@@ -58,6 +80,18 @@ class TestFanDisc:
             BoundedSurface(disc.complex, (0, 1, 2))
         with pytest.raises(BadBoundary):
             BoundedSurface(disc.complex, (0, 2, 4, 1, 3, 5))
+
+    def test_moebius_band_rejected(self):
+        # five triangles (i, i+1, i+2) mod 5: the rim is the 5-cycle of
+        # the skipping edges, and the strip closes up with a half twist
+        band = from_triangles(5, [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+        with pytest.raises(BadBoundary, match="non-orientable"):
+            BoundedSurface(band, (0, 2, 4, 1, 3))
+
+    def test_disc_plus_disjoint_sphere_rejected(self):
+        K = disjoint_union(fan_disc(6).complex, triangle_sphere())
+        with pytest.raises(BadBoundary, match="disconnected"):
+            BoundedSurface(K, tuple(range(6)))
 
 
 class TestGropeBase:

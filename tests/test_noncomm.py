@@ -60,6 +60,14 @@ def two_triangle_disc():
     return TriangulatedDisc(K_, (0, 1, 2, 3))
 
 
+def disjoint_union(A, B):
+    """A and B side by side, B's vertices and edges numbered after A's."""
+    nv, ne = A.vertex_count, len(A.edges)
+    edges = A.edges + tuple((t + nv, h + nv) for t, h in B.edges)
+    faces = A.faces + tuple(tuple((e + ne, d) for e, d in f) for f in B.faces)
+    return DeltaComplex(nv + B.vertex_count, edges, faces)
+
+
 class TestQuaternion:
     def test_basis_products(self):
         assert I * J == K and J * I == -K
@@ -198,6 +206,14 @@ class TestDiscs:
         D = single_triangle_disc()
         with pytest.raises(NotADisc):
             TriangulatedDisc(D.complex, (0, 2, 1, 0))
+        from tilingcalc.complexes import pappus_torus_case1
+        from tilingcalc.gropes import fan_disc, triangle_sphere
+
+        # a disc beside a closed surface: the sphere spoils the alternating
+        # count, the torus (alternating count 0) only connectivity
+        for closed in (triangle_sphere(), pappus_torus_case1().complex):
+            with pytest.raises(NotADisc):
+                TriangulatedDisc(disjoint_union(fan_disc(6).complex, closed), range(6))
 
     def test_two_hundred_random_discs_shell(self):
         rng = random.Random(97)

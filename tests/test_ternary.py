@@ -148,6 +148,12 @@ class TestPropagate:
         with pytest.raises(SeedConflict):
             propagate(m, seeds=[(1, 1, -1)])
 
+    @pytest.mark.parametrize("seed", [(0, 0, -1), (-1, 2, 1), (3, 1, 1), (1, 3, -1)])
+    def test_seed_out_of_range(self, seed):
+        m = IncidenceMatrix([[1, 0], [0, 0]])
+        with pytest.raises(IndexError):
+            propagate(m, seeds=[seed])
+
     def test_seed_on_equal_value_ok(self):
         m = IncidenceMatrix([[1, 0], [0, 0]])
         assert propagate(m, seeds=[(1, 1, 1)]).entry(1, 1) == 1
