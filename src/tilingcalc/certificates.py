@@ -130,17 +130,24 @@ class CaseNode:
         }
 
 
-def _tree_from_json(obj: dict) -> CaseNode | CaseLeaf:
+# Deepest case tree accepted; well below the interpreter's recursion
+# limit, so the recursive parse and the validator's walk stay safe.
+MAX_CASE_DEPTH = 200
+
+
+def _tree_from_json(obj: dict, depth: int = 0) -> CaseNode | CaseLeaf:
     if "leaf" in obj:
         return CaseLeaf(_justification_from_json(obj["leaf"]))
     if "cell" in obj:
+        if depth == MAX_CASE_DEPTH:
+            raise CertificateParseError(f"case tree nested deeper than {MAX_CASE_DEPTH}")
         for side in ("minus", "plus"):
             if side not in obj:
                 raise CertificateParseError(f"case node missing {side!r} branch")
         return CaseNode(
             tuple(obj["cell"]),
-            _tree_from_json(obj["minus"]),
-            _tree_from_json(obj["plus"]),
+            _tree_from_json(obj["minus"], depth + 1),
+            _tree_from_json(obj["plus"], depth + 1),
         )
     raise CertificateParseError("tree node is neither a leaf nor a case node")
 
@@ -204,7 +211,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CertificateParseError(str(exc)) from exc
         return cls.from_json_obj(obj)
 

@@ -173,7 +173,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_excise(args) -> int:
-    from .excision import can_excise
+    from .excision import TooLarge, can_excise
 
     mc = _load_complex(args.complex)
     K = mc.complex
@@ -194,11 +194,10 @@ def _cmd_excise(args) -> int:
         exponent = G.exponent()
         if exponent:
             moduli.append(exponent)
-        from .excision import TooLarge
-
         for n in moduli + list(range(2, 13)):
-            if n < 2:
-                continue
+            cyclic = GroupSpec(False, (n,))
+            if cyclic != G and can_excise(K, face, cyclic):
+                continue  # excises mod n (always for n = 1); G itself was decided above
             try:
                 cochain = failing_cochain(K, face, n)
             except TooLarge:

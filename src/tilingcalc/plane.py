@@ -65,13 +65,14 @@ def incident(F: GF, point, line) -> bool:
 
 
 def join(F: GF, p, q):
-    """The unique line through two distinct points; None if p = q."""
+    """The unique line through two distinct points; None if p = q.
+
+    The plane is self-dual: the common point of two distinct lines is the
+    same cross product, so `meet` is this function."""
     return cross(F, normalize(F, p), normalize(F, q))
 
 
-def meet(F: GF, l1, l2):
-    """The unique common point of two distinct lines; None if equal."""
-    return cross(F, normalize(F, l1), normalize(F, l2))
+meet = join
 
 
 def all_points(F: GF) -> list[tuple[int, int, int]]:

@@ -12,8 +12,8 @@ order and domains are scanned in the canonical point order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .fields import SUPPORTED_ORDERS, field
 from .plane import (
@@ -47,13 +47,11 @@ class PlacementFailed(ValueError):
 class SearchStats:
     nodes_expanded: int = 0
     propagations_forced: int = 0
-    elapsed: float = 0.0
 
     def to_json_obj(self) -> dict:
         return {
             "nodesExpanded": self.nodes_expanded,
             "propagationsForced": self.propagations_forced,
-            "elapsed": self.elapsed,
         }
 
 
@@ -94,9 +92,8 @@ class _Budget(Exception):
 
 
 class _PlaneTables:
-    """Per-order caches: canonical point list, incidence bit rows, meets."""
-
-    _cache: dict[int, "_PlaneTables"] = {}
+    """Per-order tables: canonical point list (which also indexes the
+    lines), symmetric incidence bit rows, meets."""
 
     def __init__(self, q: int):
         F = field(q)
@@ -113,13 +110,8 @@ class _PlaneTables:
         ]
         self._meets: dict[tuple[int, int], int] = {}
 
-    @classmethod
-    def get(cls, q: int) -> "_PlaneTables":
-        if q not in cls._cache:
-            cls._cache[q] = cls(q)
-        return cls._cache[q]
-
     def meet(self, a: int, b: int) -> int:
+        """Meet of two distinct lines, or dually join of two points."""
         key = (a, b) if a < b else (b, a)
         got = self._meets.get(key)
         if got is None:
@@ -128,74 +120,61 @@ class _PlaneTables:
         return got
 
 
-class _Searcher:
-    """One backtracking search over point/line variables.
+@lru_cache(maxsize=None)
+def _plane_tables(q: int) -> _PlaneTables:
+    return _PlaneTables(q)
 
-    Values are indices into the canonical point list.  forbid_conclusion
-    adds the requirement that point 0 misses line 0 (the counterexample
-    phase).
+
+POINT, LINE = 0, 1
+
+
+class _Searcher:
+    """One backtracking search over point and line variables.
+
+    A variable is a pair (side, index) with side POINT or LINE; the plane
+    is self-dual, so both sides share one code path and each side's
+    constraints read the other side's values.  Values are indices into
+    the canonical point list.  forbid_conclusion adds the requirement
+    that point 0 misses line 0 (the counterexample phase).
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
-        self.tables = _PlaneTables.get(q)
+        self.tables = _plane_tables(q)
         self.q = q
-        self.m = mat.m
-        self.n = mat.n
         self.forbid = forbid_conclusion
         self.stats = stats
         self.budget = node_budget
         grid = mat.rows()
-        self.pt_cells = [
-            [(j, grid[i][j]) for j in range(self.n) if grid[i][j]] for i in range(self.m)
-        ]
-        self.ln_cells = [
-            [(i, grid[i][j]) for i in range(self.m) if grid[i][j]] for j in range(self.n)
-        ]
-        order = [("P", i) for i in range(self.m)] + [("L", j) for j in range(self.n)]
-        order.sort(
-            key=lambda v: (
-                -len(self.pt_cells[v[1]] if v[0] == "P" else self.ln_cells[v[1]]),
-                v[0] != "P",
-                v[1],
-            )
+        m, n = mat.m, mat.n
+        self.cells = (
+            [[(j, grid[i][j]) for j in range(n) if grid[i][j]] for i in range(m)],
+            [[(i, grid[i][j]) for i in range(m) if grid[i][j]] for j in range(n)],
         )
-        self.order = order
-        self.pt_val: list[int | None] = [None] * self.m
-        self.ln_val: list[int | None] = [None] * self.n
+        self.order = sorted(
+            ((side, x) for side in (POINT, LINE) for x in range(len(self.cells[side]))),
+            key=lambda v: (-len(self.cells[v[0]][v[1]]), v),
+        )
+        self.val: tuple[list[int | None], list[int | None]] = ([None] * m, [None] * n)
 
-    # -- constraint checking ---------------------------------------------
-
-    def _point_ok(self, i: int, value: int) -> bool:
+    def _ok(self, side: int, x: int, value: int) -> bool:
         inc_row = self.tables.inc[value]
-        for j, sign in self.pt_cells[i]:
-            lv = self.ln_val[j]
-            if lv is not None and inc_row[lv] != (sign == 1):
+        other = self.val[1 - side]
+        for y, sign in self.cells[side][x]:
+            v = other[y]
+            if v is not None and inc_row[v] != (sign == 1):
                 return False
-        if self.forbid and i == 0:
-            lv = self.ln_val[0]
-            if lv is not None and inc_row[lv]:
-                return False
-        return True
-
-    def _line_ok(self, j: int, value: int) -> bool:
-        inc = self.tables.inc
-        for i, sign in self.ln_cells[j]:
-            pv = self.pt_val[i]
-            if pv is not None and inc[pv][value] != (sign == 1):
-                return False
-        if self.forbid and j == 0:
-            pv = self.pt_val[0]
-            if pv is not None and inc[pv][value]:
+        if self.forbid and x == 0:
+            v = other[0]
+            if v is not None and inc_row[v]:
                 return False
         return True
 
     # -- forced-intersection propagation ---------------------------------
 
     def _forced_value(self, carriers: list[int]) -> int | None:
-        for a in range(len(carriers)):
-            for b in range(a + 1, len(carriers)):
-                if carriers[a] != carriers[b]:
-                    return self.tables.meet(carriers[a], carriers[b])
+        for c in carriers:
+            if c != carriers[0]:
+                return self.tables.meet(carriers[0], c)
         return None
 
     def _propagate(self, trail: list) -> bool:
@@ -204,66 +183,36 @@ class _Searcher:
         changed = True
         while changed:
             changed = False
-            for i in range(self.m):
-                if self.pt_val[i] is not None:
-                    continue
-                carriers = [
-                    self.ln_val[j]
-                    for j, sign in self.pt_cells[i]
-                    if sign == 1 and self.ln_val[j] is not None
-                ]
-                forced = self._forced_value(carriers)
-                if forced is None:
-                    continue
-                if not self._point_ok(i, forced):
-                    return False
-                self.pt_val[i] = forced
-                trail.append(("P", i))
-                self.stats.propagations_forced += 1
-                changed = True
-            for j in range(self.n):
-                if self.ln_val[j] is not None:
-                    continue
-                carried = [
-                    self.pt_val[i]
-                    for i, sign in self.ln_cells[j]
-                    if sign == 1 and self.pt_val[i] is not None
-                ]
-                forced = self._forced_value(carried)
-                if forced is None:
-                    continue
-                if not self._line_ok(j, forced):
-                    return False
-                self.ln_val[j] = forced
-                trail.append(("L", j))
-                self.stats.propagations_forced += 1
-                changed = True
+            for side in (POINT, LINE):
+                mine, other = self.val[side], self.val[1 - side]
+                for x, cells in enumerate(self.cells[side]):
+                    if mine[x] is not None:
+                        continue
+                    carriers = [
+                        other[y] for y, sign in cells if sign == 1 and other[y] is not None
+                    ]
+                    forced = self._forced_value(carriers)
+                    if forced is None:
+                        continue
+                    if not self._ok(side, x, forced):
+                        return False
+                    mine[x] = forced
+                    trail.append((side, x))
+                    self.stats.propagations_forced += 1
+                    changed = True
         return True
 
     # -- candidate enumeration -------------------------------------------
 
-    def _candidates(self, kind: str, idx: int) -> list[int]:
+    def _candidates(self, side: int, x: int) -> list[int]:
         """Domain values in canonical order, restricted to an assigned +1
         carrier when one exists."""
-        if kind == "P":
-            carriers = [
-                self.ln_val[j]
-                for j, sign in self.pt_cells[idx]
-                if sign == 1 and self.ln_val[j] is not None
-            ]
-            check = self._point_ok
-        else:
-            carriers = [
-                self.pt_val[i]
-                for i, sign in self.ln_cells[idx]
-                if sign == 1 and self.pt_val[i] is not None
-            ]
-            check = self._line_ok
-        if carriers:
-            base = self.tables.on_line[carriers[0]]
-        else:
-            base = range(self.tables.count)
-        return [p for p in base if check(idx, p)]
+        other = self.val[1 - side]
+        carriers = [
+            other[y] for y, sign in self.cells[side][x] if sign == 1 and other[y] is not None
+        ]
+        base = self.tables.on_line[carriers[0]] if carriers else range(self.tables.count)
+        return [v for v in base if self._ok(side, x, v)]
 
     # -- search ----------------------------------------------------------
 
@@ -272,29 +221,28 @@ class _Searcher:
 
     def _solve(self, pos: int) -> Configuration | None:
         while pos < len(self.order):
-            kind, idx = self.order[pos]
-            store = self.pt_val if kind == "P" else self.ln_val
-            if store[idx] is not None:
+            side, x = self.order[pos]
+            store = self.val[side]
+            if store[x] is not None:
                 pos += 1
                 continue
-            for value in self._candidates(kind, idx):
+            for value in self._candidates(side, x):
                 self.stats.nodes_expanded += 1
                 if self.stats.nodes_expanded > self.budget:
                     raise _Budget
-                store[idx] = value
-                trail = [(kind, idx)]
+                store[x] = value
+                trail = [(side, x)]
                 if self._propagate(trail):
                     found = self._solve(pos + 1)
                     if found is not None:
                         return found
-                for k, i in trail:
-                    (self.pt_val if k == "P" else self.ln_val)[i] = None
+                for s, y in trail:
+                    self.val[s][y] = None
             return None
         uni = self.tables.universe
+        points, lines = self.val
         return Configuration(
-            self.q,
-            tuple(uni[v] for v in self.pt_val),
-            tuple(uni[v] for v in self.ln_val),
+            self.q, tuple(uni[v] for v in points), tuple(uni[v] for v in lines)
         )
 
 
@@ -304,7 +252,6 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
     if q not in SUPPORTED_ORDERS:
         raise UnsupportedField(q)
     stats = SearchStats()
-    start = time.monotonic()
     try:
         counterexample = None
         if mat.entry(1, 1) != 1:  # a +1 conclusion can never be violated
@@ -312,15 +259,12 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
         if counterexample is not None:
             assert verify_configuration(mat, counterexample)
             assert not incident(field(q), counterexample.points[0], counterexample.lines[0])
-            stats.elapsed = time.monotonic() - start
             return Verdict("counterexample", counterexample, stats)
         witness = _Searcher(mat, q, False, stats, node_budget).run()
-        stats.elapsed = time.monotonic() - start
         if witness is None:
             return Verdict("vacuous", None, stats)
         return Verdict("true", None, stats)
     except _Budget:
-        stats.elapsed = time.monotonic() - start
         return Verdict("resource_exceeded", None, stats)
 
 

@@ -43,7 +43,7 @@ class IncidenceMatrix:
     __slots__ = ("m", "n", "_rows")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
         n = len(rows[0])
@@ -51,8 +51,8 @@ class IncidenceMatrix:
             if len(row) != n:
                 raise ValueError("ragged rows")
             for v in row:
-                if v not in _VALID:
-                    raise ValueError(f"entry {v!r} not in -1/0/1")
+                if type(v) is not int or v not in _VALID:  # bool is not int
+                    raise ValueError(f"entry {v!r} is not one of the integers -1, 0, 1")
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
@@ -68,6 +68,10 @@ class IncidenceMatrix:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
+
+    def transpose(self) -> "IncidenceMatrix":
+        """The same constraints with points and lines swapped."""
+        return IncidenceMatrix(zip(*self._rows))
 
     def with_entry(self, i: int, j: int, value: int) -> "IncidenceMatrix":
         if value not in _VALID:
@@ -234,6 +238,9 @@ AUX_KINDS = (
 )
 
 
+_DUAL_KIND = {LINE_THROUGH_TWO_POINTS: POINT_ON_TWO_LINES, GENERIC_LINE: GENERIC_POINT}
+
+
 def aux_join(
     mat: IncidenceMatrix, kind: str, a: int | None = None, b: int | None = None
 ) -> IncidenceMatrix:
@@ -241,32 +248,23 @@ def aux_join(
 
     PointOnTwoLines(c1, c2): new row, +1 in columns c1 and c2 (which may
     coincide), 0 elsewhere.  GenericPoint: new all -1 row.  The two line
-    kinds act dually on columns.
+    kinds are the same rules applied to the transpose, by duality.
     """
-    grid = [list(r) for r in mat.rows()]
-    if kind == POINT_ON_TWO_LINES or kind == LINE_THROUGH_TWO_POINTS:
-        if a is None or b is None:
-            raise ValueError(f"{kind} needs two indices")
-        bound = mat.n if kind == POINT_ON_TWO_LINES else mat.m
-        for idx in (a, b):
-            if not 1 <= idx <= bound:
-                raise IndexError(idx)
+    if kind not in AUX_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind in (POINT_ON_TWO_LINES, LINE_THROUGH_TWO_POINTS) and (a is None or b is None):
+        raise ValueError(f"{kind} needs two indices")
+    if kind in _DUAL_KIND:
+        return aux_join(mat.transpose(), _DUAL_KIND[kind], a, b).transpose()
+    row = [MINUS] * mat.n
     if kind == POINT_ON_TWO_LINES:
+        for idx in (a, b):
+            if not 1 <= idx <= mat.n:
+                raise IndexError(idx)
         row = [ZERO] * mat.n
         row[a - 1] = PLUS
         row[b - 1] = PLUS
-        grid.append(row)
-    elif kind == GENERIC_POINT:
-        grid.append([MINUS] * mat.n)
-    elif kind == LINE_THROUGH_TWO_POINTS:
-        for i, row in enumerate(grid):
-            row.append(PLUS if (i + 1) in (a, b) else ZERO)
-    elif kind == GENERIC_LINE:
-        for row in grid:
-            row.append(MINUS)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return IncidenceMatrix(grid)
+    return IncidenceMatrix(mat.rows() + (tuple(row),))
 
 
 def contradiction_form(mat: IncidenceMatrix, i: int, j: int) -> IncidenceMatrix:

@@ -10,6 +10,7 @@ from tilingcalc.certificates import (
     CaseNode,
     Certificate,
     CertificateParseError,
+    MAX_CASE_DEPTH,
     CoverageGap,
     Elementary,
     SHIPPED_CERTIFICATES,
@@ -23,7 +24,7 @@ from tilingcalc.certificates import (
 from tilingcalc.complexes import desargues_tetrahedron
 from tilingcalc.excision import GroupSpec
 from tilingcalc.search import check_theorem
-from tilingcalc.ternary import PatternWitness
+from tilingcalc.ternary import IncidenceMatrix, PatternWitness
 
 FIXTURES = files("tilingcalc") / "fixtures"
 
@@ -168,6 +169,30 @@ class TestSerialization:
     def test_malformed_json_text(self):
         with pytest.raises(CertificateParseError):
             Certificate.from_json("{not json")
+
+
+def _minus_chain(depth):
+    """A certificate over an all-zero 21 x 10 matrix whose case tree
+    splits `depth` times, each time on a new cell down the minus side."""
+    cells = [(i, j) for i in range(1, 22) for j in range(1, 11)][:depth]
+    tree = CaseLeaf(Tautology())
+    for cell in reversed(cells):
+        tree = CaseNode(cell, minus=tree, plus=CaseLeaf(Tautology()))
+    base = IncidenceMatrix([[0] * 10 for _ in range(21)])
+    return Certificate(base, (), tree, GroupSpec.finite_field(2))
+
+
+class TestNestingDepth:
+    def test_deepest_accepted_tree_parses_and_replays(self):
+        cert = _minus_chain(MAX_CASE_DEPTH)
+        assert Certificate.from_json(cert.to_json()) == cert
+        report = validate_certificate(cert)
+        assert len(report.leaves) == MAX_CASE_DEPTH + 1
+
+    def test_one_level_deeper_rejected(self):
+        obj = _minus_chain(MAX_CASE_DEPTH + 1).to_json_obj()
+        with pytest.raises(CertificateParseError):
+            Certificate.from_json_obj(obj)
 
 
 class TestSoundnessSpotCheck:

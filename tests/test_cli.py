@@ -22,6 +22,18 @@ def fx(name):
     return str(FIXTURES / name)
 
 
+def run_module(*argv):
+    """Run the CLI in a fresh interpreter, to see its real stderr."""
+    src = str(Path(tilingcalc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "tilingcalc.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -57,6 +69,12 @@ class TestCheck:
         code, report = run(capsys, "check", fx("fano.json"), "--q", "3")
         assert code == 0
         assert report["verdict"]["outcome"] == "true"
+
+    def test_report_is_byte_deterministic(self):
+        first = run_module("check", fx("fano.json"), "--q", "3")
+        second = run_module("check", fx("fano.json"), "--q", "3")
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
 
 
 class TestVerify:
@@ -96,6 +114,14 @@ class TestPropagate:
         code, _ = run(capsys, "propagate", fx("pappus12x9.json"), "--seed", "alpha")
         assert code == 2
 
+    @pytest.mark.parametrize("entries", [[[1.5, 1], [1, 1]], [[1, 1], [1, True]]])
+    def test_non_integer_entries_rejected(self, capsys, tmp_path, entries):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"entries": entries}))
+        code, report = run(capsys, "propagate", str(src))
+        assert code == 2
+        assert report is None
+
     @pytest.mark.parametrize("seed", ["0,0,-1", "99,99,1", "13,1,1"])
     def test_seed_out_of_range(self, capsys, seed):
         code, report = run(capsys, "propagate", fx("pappus12x9.json"), "--seed", seed)
@@ -120,6 +146,27 @@ class TestExcise:
         )
         assert code == 0
         assert report["excisable"] is True
+
+    def test_witness_skips_excisable_moduli(self, capsys, monkeypatch):
+        # over C* the marked face excises mod 2 but not mod 3, so the
+        # witness search should only enumerate cochains mod 3
+        from tilingcalc import cli
+
+        seen = []
+        real = cli.failing_cochain
+
+        def spy(K, face, n):
+            seen.append(n)
+            return real(K, face, n)
+
+        monkeypatch.setattr(cli, "failing_cochain", spy)
+        code, report = run(
+            capsys, "excise", fx("ninegon-grope.json"), "--face", "marked",
+            "--group", "C*",
+        )
+        assert code == 1
+        assert seen == [3]
+        assert report["failingCochain"]["modulus"] == 3
 
     def test_face_out_of_range(self, capsys):
         code, _ = run(
@@ -202,6 +249,19 @@ class TestProveValidate:
         assert code == 1
         assert report["report"]["ok"] is False
 
+    def test_deeply_nested_certificate_is_usage_error(self, tmp_path):
+        # written as text: json.dumps itself recurses too deep on the tree
+        obj = json.loads((FIXTURES / "cert-one-line.json").read_text())
+        leaf = json.dumps(obj["cases"])
+        node = '{"cell": [1, 1], "minus": %s, "plus": ' % leaf
+        tree = node * 3000 + leaf + "}" * 3000
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({**obj, "cases": None}).replace("null", tree))
+        proc = run_module("prove-validate", str(deep))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "other"}')
@@ -258,14 +318,7 @@ class TestPlumbing:
         ],
     )
     def test_bad_input_is_usage_error(self, argv):
-        src = str(Path(tilingcalc.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-m", "tilingcalc.cli", *argv],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module(*argv)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")

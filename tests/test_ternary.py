@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -316,3 +317,10 @@ class TestSerialization:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IncidenceMatrix.from_json_obj({"m": 2, "n": 1, "entries": [[0]]})
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(ValueError):
+            IncidenceMatrix([[1, bad]])
+        with pytest.raises(ValueError):
+            IncidenceMatrix.from_json('{"entries": [[1, %s]]}' % json.dumps(bad))
