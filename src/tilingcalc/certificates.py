@@ -33,6 +33,9 @@ from .excision import GroupSpec
 from .surfaces import MarkedComplex, validate_elementary_proof
 from .ternary import (
     AUX_KINDS,
+    GENERIC_POINT,
+    LINE_THROUGH_TWO_POINTS,
+    POINT_ON_TWO_LINES,
     IncidenceMatrix,
     NotNegative,
     PatternWitness,
@@ -90,7 +93,24 @@ class Elementary:
         return obj
 
 
-def _justification_from_json(obj: dict):
+def _is_index(value, bound: int) -> bool:
+    return type(value) is int and 1 <= value <= bound  # bool is not int
+
+
+def _cell_from_json(value, shape: tuple[int, int], what: str) -> tuple[int, int]:
+    """A 1-based (row, column) pair inside a matrix of the given shape."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(_is_index(v, bound) for v, bound in zip(value, shape))
+    ):
+        raise CertificateParseError(
+            f"{what} {value!r} is not a cell of the {shape[0]}x{shape[1]} start matrix"
+        )
+    return tuple(value)
+
+
+def _justification_from_json(obj: dict, shape: tuple[int, int]):
     kind = obj.get("kind")
     if kind == Tautology.kind:
         return Tautology()
@@ -100,7 +120,7 @@ def _justification_from_json(obj: dict):
             expected = PatternWitness(tuple(obj["rows"]), tuple(obj["cols"]))
         return AxiomContradiction(expected)
     if kind == Elementary.kind:
-        target = tuple(obj["target"]) if "target" in obj else None
+        target = _cell_from_json(obj["target"], shape, "target") if "target" in obj else None
         return Elementary(MarkedComplex.from_json_obj(obj["complex"]), target)
     raise CertificateParseError(f"unknown justification kind {kind!r}")
 
@@ -135,9 +155,9 @@ class CaseNode:
 MAX_CASE_DEPTH = 200
 
 
-def _tree_from_json(obj: dict, depth: int = 0) -> CaseNode | CaseLeaf:
+def _tree_from_json(obj: dict, shape: tuple[int, int], depth: int = 0) -> CaseNode | CaseLeaf:
     if "leaf" in obj:
-        return CaseLeaf(_justification_from_json(obj["leaf"]))
+        return CaseLeaf(_justification_from_json(obj["leaf"], shape))
     if "cell" in obj:
         if depth == MAX_CASE_DEPTH:
             raise CertificateParseError(f"case tree nested deeper than {MAX_CASE_DEPTH}")
@@ -145,9 +165,9 @@ def _tree_from_json(obj: dict, depth: int = 0) -> CaseNode | CaseLeaf:
             if side not in obj:
                 raise CertificateParseError(f"case node missing {side!r} branch")
         return CaseNode(
-            tuple(obj["cell"]),
-            _tree_from_json(obj["minus"], depth + 1),
-            _tree_from_json(obj["plus"], depth + 1),
+            _cell_from_json(obj["cell"], shape, "case cell"),
+            _tree_from_json(obj["minus"], shape, depth + 1),
+            _tree_from_json(obj["plus"], shape, depth + 1),
         )
     raise CertificateParseError("tree node is neither a leaf nor a case node")
 
@@ -187,23 +207,37 @@ class Certificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Certificate":
+        if not isinstance(obj, dict):
+            raise CertificateParseError("a certificate is a JSON object")
         try:
             if obj.get("format") != "tiling-proof-certificate":
                 raise CertificateParseError("missing or wrong 'format' marker")
             if obj.get("version") != 1:
                 raise CertificateParseError(f"unsupported version {obj.get('version')!r}")
             base = IncidenceMatrix.from_json_obj(obj["base"])
+            m, n = base.m, base.n  # the shape after the steps so far
             steps = []
             for step in obj["aux"]:
                 kind = step["kind"]
                 if kind not in AUX_KINDS:
                     raise CertificateParseError(f"unknown aux kind {kind!r}")
-                steps.append((kind, step.get("a"), step.get("b")))
+                a, b = step.get("a"), step.get("b")
+                if kind in (POINT_ON_TWO_LINES, LINE_THROUGH_TWO_POINTS):
+                    bound = n if kind == POINT_ON_TWO_LINES else m
+                    if not (_is_index(a, bound) and _is_index(b, bound)):
+                        raise CertificateParseError(
+                            f"{kind} indices {a!r}, {b!r} are not in 1..{bound}"
+                        )
+                if kind in (POINT_ON_TWO_LINES, GENERIC_POINT):
+                    m += 1
+                else:
+                    n += 1
+                steps.append((kind, a, b))
             group = GroupSpec.from_json_obj(obj["group"])
-            tree = _tree_from_json(obj["cases"])
+            tree = _tree_from_json(obj["cases"], (m, n))
         except CertificateParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CertificateParseError(str(exc)) from exc
         return cls(base, tuple(steps), tree, group)
 
@@ -326,7 +360,6 @@ def pappus_certificate() -> Certificate:
     """
     from .catalog import pappus_base_matrix
     from .complexes import pappus_torus_case1, pappus_torus_case2
-    from .ternary import LINE_THROUGH_TWO_POINTS, POINT_ON_TWO_LINES
 
     aux = (
         (POINT_ON_TWO_LINES, 2, 3),

@@ -261,7 +261,7 @@ def _factorisation(K: DeltaComplex, face: int):
     (0 past the rank) and the column transform V.  The decision, the
     oracle and the witness for one (complex, face) all read this.  Their
     callers ask about one face at a time, and V is edges x edges, so
-    only the latest is kept; `_quotient_class` memoises decisions."""
+    only the latest is kept; `_quotient_class` memoises the classes."""
     rows = boundary_matrix(K)
     b0 = rows[face]
     B = [rows[f] for f in range(len(rows)) if f != face]
@@ -273,16 +273,27 @@ def _factorisation(K: DeltaComplex, face: int):
     return b0, diag, V
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
+def _classes(K: DeltaComplex) -> dict:
+    """Face -> quotient class, for the latest complex only, so that a
+    long-running caller does not keep every complex it has seen alive."""
+    return {}
+
+
 def _quotient_class(K: DeltaComplex, face: int):
     """Coordinates of the face's boundary row in the cokernel of the
     other faces' rows: lists of (coordinate value, torsion order) with
     order 0 meaning a free coordinate."""
     if not 0 <= face < len(K.faces):
         raise FaceNotFound(face)
-    b0, diag, V = _factorisation(K, face)
-    ncols = len(diag)
-    return [(sum(b0[e] * V[e][j] for e in range(ncols)), diag[j]) for j in range(ncols)]
+    classes = _classes(K)
+    if face not in classes:
+        b0, diag, V = _factorisation(K, face)
+        ncols = len(diag)
+        classes[face] = [
+            (sum(b0[e] * V[e][j] for e in range(ncols)), diag[j]) for j in range(ncols)
+        ]
+    return classes[face]
 
 
 def can_excise(K: DeltaComplex, face: int, G: GroupSpec) -> bool:

@@ -178,6 +178,30 @@ def is_tautology(mat: IncidenceMatrix) -> bool:
     return mat.entry(1, 1) == PLUS
 
 
+def _pattern_through(P: list[int], N: list[int], j: int) -> bool:
+    """Whether the forbidden pattern uses column j (0-based), given the
+    row bitmasks P[c] / N[c] of the +1 / -1 entries of each column.
+
+    The pattern lives on columns c1, c2, c3 exactly when N[c1] & P[c2]
+    is nonzero (a separating row) and S = P[c1] & P[c2] (the shared
+    rows) meets both P[c3] and N[c3]; those tests also keep the three
+    columns and the three rows distinct.  O(n^2) mask operations.
+    """
+    Pj, Nj = P[j], N[j]
+    for pa, na in zip(P, N):
+        # j as c1 or c2, with the other of the two in column a
+        s = Pj & pa
+        if s & (s - 1) and (Nj & pa or na & Pj) and any(s & p and s & q for p, q in zip(P, N)):
+            return True
+        # j as c3, with column a as c1
+        if Pj and Nj and na:
+            for pb in P:
+                s = pa & pb
+                if na & pb and s & Pj and s & Nj:
+                    return True
+    return False
+
+
 def propagate(
     mat: IncidenceMatrix,
     seeds: Sequence[tuple[int, int, int]] = (),
@@ -190,6 +214,12 @@ def propagate(
     otherwise it stays 0.  Sweeps repeat until a full sweep changes
     nothing, or until ``max_sweeps`` sweeps have run.  Only -1 is ever
     committed by scanning, so the result refines the input.
+
+    The grid is held as per-column row bitmasks, and a change to column
+    j is checked with ``_pattern_through`` for the patterns through j
+    only: filling a zero cell never removes a pattern, so any new one
+    uses the changed cell.  Once the grid holds a pattern (after seeding,
+    or completed by a -1 commit), every zero cell scanned becomes -1.
     """
     if max_sweeps != "fixpoint" and (not isinstance(max_sweeps, int) or max_sweeps < 0):
         raise ValueError("max_sweeps must be 'fixpoint' or a nonnegative int")
@@ -204,19 +234,28 @@ def propagate(
             raise SeedConflict(f"seed ({i},{j})={v} conflicts with entry {cur}")
         grid[i - 1][j - 1] = v
 
+    P = [sum(1 << i for i, row in enumerate(grid) if row[j] == PLUS) for j in range(mat.n)]
+    N = [sum(1 << i for i, row in enumerate(grid) if row[j] == MINUS) for j in range(mat.n)]
+    broken = contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None
+
     sweeps = 0
     while max_sweeps == "fixpoint" or sweeps < max_sweeps:
         changed = False
-        for i in range(mat.m):
+        for i, row in enumerate(grid):
+            bit = 1 << i
             for j in range(mat.n):
-                if grid[i][j] != ZERO:
+                if row[j] != ZERO:
                     continue
-                grid[i][j] = PLUS
-                if contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None:
-                    grid[i][j] = MINUS
-                    changed = True
-                else:
-                    grid[i][j] = ZERO
+                if not broken:
+                    P[j] |= bit
+                    hit = _pattern_through(P, N, j)
+                    P[j] ^= bit
+                    if not hit:
+                        continue
+                row[j] = MINUS
+                N[j] |= bit
+                changed = True
+                broken = broken or _pattern_through(P, N, j)
         sweeps += 1
         if not changed:
             break

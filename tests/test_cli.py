@@ -34,6 +34,14 @@ def run_module(*argv):
     )
 
 
+def aux_step(a, kind="PointOnTwoLines"):
+    return {"kind": kind, "a": a, "b": 1}
+
+
+def split_on(cell, cert_obj):
+    return {"cell": cell, "minus": cert_obj["cases"], "plus": cert_obj["cases"]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -258,6 +266,33 @@ class TestProveValidate:
         deep = tmp_path / "deep.json"
         deep.write_text(json.dumps({**obj, "cases": None}).replace("null", tree))
         proc = run_module("prove-validate", str(deep))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda o: o.update(aux=[aux_step("x")]), id="aux-string"),
+            pytest.param(lambda o: o.update(aux=[aux_step(99)]), id="aux-99"),
+            pytest.param(lambda o: o.update(aux=[aux_step(0)]), id="aux-0"),
+            pytest.param(lambda o: o.update(aux=[aux_step(-1)]), id="aux-minus-1"),
+            pytest.param(lambda o: o.update(aux=[aux_step(None)]), id="aux-missing"),
+            pytest.param(lambda o: o.update(aux=[aux_step(7, "LineThroughTwoPoints")]),
+                         id="aux-line-7"),
+            pytest.param(lambda o: o.update(cases=split_on([99, 99], o)), id="cell-99-99"),
+            pytest.param(lambda o: o.update(cases=split_on(["a", 1], o)), id="cell-string"),
+            pytest.param(lambda o: o["cases"]["leaf"].update(target=[99, 1]), id="target-99-1"),
+            pytest.param(lambda o: [o], id="top-level-list"),
+            pytest.param(lambda o: o.update(cases={"leaf": "x"}), id="leaf-string"),
+        ],
+    )
+    def test_bad_content_is_usage_error(self, tmp_path, edit):
+        obj = json.loads((FIXTURES / "cert-one-line.json").read_text())
+        obj = edit(obj) or obj
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_module("prove-validate", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -198,6 +200,17 @@ class TestCanExcise:
                 for d in range(1, m + 1):
                     if m % d == 0:
                         assert can_excise(K, f, GroupSpec(False, (d,)))
+
+
+class TestMemo:
+    def test_only_the_latest_complex_is_kept(self):
+        first = one_line_complex().complex
+        assert can_excise(first, 0, GroupSpec.reals())
+        ref = weakref.ref(first)
+        del first
+        assert can_excise(desargues_tetrahedron().complex, 0, GroupSpec.reals())
+        gc.collect()
+        assert ref() is None
 
 
 class TestFailingCochain:

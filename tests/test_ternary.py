@@ -1,11 +1,12 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingcalc import catalog
+from tilingcalc import catalog, certificates
 from tilingcalc.ternary import (
     GENERIC_LINE,
     GENERIC_POINT,
@@ -207,6 +208,102 @@ class TestPropagate:
         # not silenced.
         m = fixture()
         assert propagate(m, seeds, max_sweeps=3) == propagate(m, seeds)
+
+
+def naive_propagate(mat, seeds=(), max_sweeps="fixpoint"):
+    """The propagation rule read literally: each tentative +1 is checked
+    with a full pattern search on a fresh matrix."""
+    grid = [list(r) for r in mat.rows()]
+    for i, j, v in seeds:
+        grid[i - 1][j - 1] = v
+    sweeps = 0
+    while max_sweeps == "fixpoint" or sweeps < max_sweeps:
+        changed = False
+        for i in range(mat.m):
+            for j in range(mat.n):
+                if grid[i][j] != 0:
+                    continue
+                grid[i][j] = 1
+                if contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None:
+                    grid[i][j] = -1
+                    changed = True
+                else:
+                    grid[i][j] = 0
+        sweeps += 1
+        if not changed:
+            break
+    return IncidenceMatrix(grid)
+
+
+def random_matrix(rng, m, n):
+    """Either random signs, or the incidences of random points and lines
+    of PG(2, q) with some cells hidden (which never holds the pattern,
+    so propagation runs long)."""
+    if rng.random() < 0.5:
+        density = rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))
+        return [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+    q = rng.choice((2, 3, 5))
+    plane = [(1, y, z) for y in range(q) for z in range(q)]
+    plane += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
+    points = [rng.choice(plane) for _ in range(m)]
+    lines = [rng.choice(plane) for _ in range(n)]
+    hide = rng.choice((0.2, 0.4, 0.6))
+    return [[0 if rng.random() < hide
+             else 1 if sum(a * b for a, b in zip(p, l)) % q == 0 else -1
+             for l in lines] for p in points]
+
+
+class TestPropagateOracle:
+    def test_agrees_on_random_matrices(self):
+        rng = random.Random(20261018)
+        for _ in range(1500):
+            mat = IncidenceMatrix(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+            zeros = mat.zero_cells()
+            cells = rng.sample(zeros, min(len(zeros), rng.randint(0, 2)))
+            seeds = [(i, j, rng.choice((-1, 1))) for i, j in cells]
+            for sweeps in ("fixpoint", 1, 2):
+                assert propagate(mat, seeds, sweeps) == naive_propagate(mat, seeds, sweeps), (
+                    mat, seeds, sweeps)
+        for _ in range(100):
+            mat = IncidenceMatrix(random_matrix(rng, rng.randint(6, 16), rng.randint(6, 12)))
+            assert propagate(mat) == naive_propagate(mat), mat
+
+    def test_agrees_on_every_certificate_replay_call(self, monkeypatch):
+        calls = []
+
+        def recorded(mat, seeds=(), max_sweeps="fixpoint"):
+            out = propagate(mat, seeds, max_sweeps)
+            calls.append((mat, seeds, max_sweeps, out))
+            return out
+
+        monkeypatch.setattr(certificates, "propagate", recorded)
+        for build in certificates.SHIPPED_CERTIFICATES.values():
+            assert certificates.validate_certificate(build()).ok
+        assert len(calls) == 10
+        for mat, seeds, max_sweeps, out in calls:
+            assert out == naive_propagate(mat, seeds, max_sweeps)
+
+    def test_seeded_pattern_turns_every_zero_to_minus(self):
+        mat = IncidenceMatrix([[-1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]])
+        out = propagate(mat, seeds=[(3, 3, -1)])
+        assert out == naive_propagate(mat, [(3, 3, -1)])
+        assert all(out.entry(i, j) == -1 for i, j in mat.zero_cells())
+
+    def test_minus_commit_completes_a_pattern_mid_sweep(self):
+        # The -1 committed at (1, 3) completes a pattern on rows 1, 4, 3.
+        # From then on every zero cell becomes -1; (2, 5) would stay 0 if
+        # only the patterns through its own cell were asked about.
+        mat = IncidenceMatrix(
+            [[-1, 1, 0, 1, 1], [-1, -1, 1, 0, 0], [-1, 1, 1, 1, -1], [1, 0, 1, 1, 0]]
+        )
+        assert contradicts_incidence_axiom(mat) is None
+        out = propagate(mat, max_sweeps=1)
+        assert out == IncidenceMatrix(
+            [[-1, 1, -1, 1, 1], [-1, -1, 1, -1, -1], [-1, 1, 1, 1, -1], [1, -1, 1, 1, -1]]
+        )
+        assert out == naive_propagate(mat, max_sweeps=1)
+        assert contradicts_incidence_axiom(out) is not None
 
 
 class TestAuxJoin:
