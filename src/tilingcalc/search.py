@@ -7,7 +7,12 @@ satisfies the matrix and violates the conclusion (a counterexample),
 then — if none exists — for any satisfying configuration at all (none
 means the theorem is vacuous).  Search is exhaustive within the node
 budget and deterministic: variables follow a fixed most-constrained-first
-order and domains are scanned in the canonical point order.
+order, and each holds a bitmask domain over the canonical point list that
+forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
+scanned lowest index first.  Pruning drops only subtrees without
+solutions, so the counterexample found is the first one in that order.
+SearchStats counts the values tried at branch points (nodesExpanded) and
+the values forced because a domain narrowed to one (propagationsForced).
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .plane import (
     Configuration,
     DimensionMismatch,
     all_points,
-    cross,
     dot,
     incident,
     join,
@@ -92,32 +96,18 @@ class _Budget(Exception):
 
 
 class _PlaneTables:
-    """Per-order tables: canonical point list (which also indexes the
-    lines), symmetric incidence bit rows, meets."""
+    """Per-order tables: the canonical point list, which also indexes the
+    lines, and for each index the bitmask of the indices incident with it
+    (the rows are symmetric, so one list serves points and lines)."""
 
     def __init__(self, q: int):
         F = field(q)
-        self.F = F
         self.universe = all_points(F)
-        self.count = len(self.universe)
-        self.index = {p: i for i, p in enumerate(self.universe)}
-        self.inc = [
-            [dot(F, p, l) == 0 for l in self.universe] for p in self.universe
+        self.full = (1 << len(self.universe)) - 1
+        self.on = [
+            sum(1 << i for i, l in enumerate(self.universe) if dot(F, p, l) == 0)
+            for p in self.universe
         ]
-        self.on_line = [
-            [pi for pi in range(self.count) if self.inc[pi][li]]
-            for li in range(self.count)
-        ]
-        self._meets: dict[tuple[int, int], int] = {}
-
-    def meet(self, a: int, b: int) -> int:
-        """Meet of two distinct lines, or dually join of two points."""
-        key = (a, b) if a < b else (b, a)
-        got = self._meets.get(key)
-        if got is None:
-            got = self.index[cross(self.F, self.universe[key[0]], self.universe[key[1]])]
-            self._meets[key] = got
-        return got
 
 
 @lru_cache(maxsize=None)
@@ -129,19 +119,23 @@ POINT, LINE = 0, 1
 
 
 class _Searcher:
-    """One backtracking search over point and line variables.
+    """One backtracking search with forward checking over point and line
+    variables.
 
     A variable is a pair (side, index) with side POINT or LINE; the plane
     is self-dual, so both sides share one code path and each side's
-    constraints read the other side's values.  Values are indices into
-    the canonical point list.  forbid_conclusion adds the requirement
-    that point 0 misses line 0 (the counterexample phase).
+    constraints read the other side's values.  Each variable holds a
+    bitmask domain over the indices of the canonical point list, and a
+    variable is assigned exactly when its domain has one value.  Fixing a
+    value narrows every neighbour's domain to the values that agree with
+    it, and a neighbour left with one value is fixed in turn; an empty
+    domain cuts the branch.  forbid_conclusion adds the requirement that
+    point 0 misses line 0 (the counterexample phase) as one more -1 cell.
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
         self.tables = _plane_tables(q)
         self.q = q
-        self.forbid = forbid_conclusion
         self.stats = stats
         self.budget = node_budget
         grid = mat.rows()
@@ -154,67 +148,36 @@ class _Searcher:
             ((side, x) for side in (POINT, LINE) for x in range(len(self.cells[side]))),
             key=lambda v: (-len(self.cells[v[0]][v[1]]), v),
         )
-        self.val: tuple[list[int | None], list[int | None]] = ([None] * m, [None] * n)
+        if forbid_conclusion:  # added after the order, which it must not change
+            self.cells[POINT][0].append((0, -1))
+            self.cells[LINE][0].append((0, -1))
+        full = self.tables.full
+        self.dom = ([full] * m, [full] * n)
 
-    def _ok(self, side: int, x: int, value: int) -> bool:
-        inc_row = self.tables.inc[value]
-        other = self.val[1 - side]
-        for y, sign in self.cells[side][x]:
-            v = other[y]
-            if v is not None and inc_row[v] != (sign == 1):
-                return False
-        if self.forbid and x == 0:
-            v = other[0]
-            if v is not None and inc_row[v]:
-                return False
-        return True
-
-    # -- forced-intersection propagation ---------------------------------
-
-    def _forced_value(self, carriers: list[int]) -> int | None:
-        for c in carriers:
-            if c != carriers[0]:
-                return self.tables.meet(carriers[0], c)
-        return None
-
-    def _propagate(self, trail: list) -> bool:
-        """A point required on two assigned distinct lines is forced to
-        their meet; dually for lines.  Runs to fixpoint; False on clash."""
-        changed = True
-        while changed:
-            changed = False
-            for side in (POINT, LINE):
-                mine, other = self.val[side], self.val[1 - side]
-                for x, cells in enumerate(self.cells[side]):
-                    if mine[x] is not None:
-                        continue
-                    carriers = [
-                        other[y] for y, sign in cells if sign == 1 and other[y] is not None
-                    ]
-                    forced = self._forced_value(carriers)
-                    if forced is None:
-                        continue
-                    if not self._ok(side, x, forced):
-                        return False
-                    mine[x] = forced
-                    trail.append((side, x))
+    def _narrow(self, side: int, x: int, trail: list) -> bool:
+        """Propagate the one value of variable x: AND each neighbour's
+        domain with its incidence mask (+1 cell) or the complement (-1
+        cell), fixing neighbours left with one value.  Every old domain
+        goes on the trail; False when a domain empties."""
+        on = self.tables.on
+        fixed = [(side, x)]
+        while fixed:
+            side, x = fixed.pop()
+            mask = on[self.dom[side][x].bit_length() - 1]
+            doms = self.dom[1 - side]
+            for y, sign in self.cells[side][x]:
+                old = doms[y]
+                new = old & mask if sign == 1 else old & ~mask
+                if new == old:
+                    continue
+                if not new:
+                    return False
+                trail.append((doms, y, old))
+                doms[y] = new
+                if not new & (new - 1):
                     self.stats.propagations_forced += 1
-                    changed = True
+                    fixed.append((1 - side, y))
         return True
-
-    # -- candidate enumeration -------------------------------------------
-
-    def _candidates(self, side: int, x: int) -> list[int]:
-        """Domain values in canonical order, restricted to an assigned +1
-        carrier when one exists."""
-        other = self.val[1 - side]
-        carriers = [
-            other[y] for y, sign in self.cells[side][x] if sign == 1 and other[y] is not None
-        ]
-        base = self.tables.on_line[carriers[0]] if carriers else range(self.tables.count)
-        return [v for v in base if self._ok(side, x, v)]
-
-    # -- search ----------------------------------------------------------
 
     def run(self) -> Configuration | None:
         return self._solve(0)
@@ -222,28 +185,31 @@ class _Searcher:
     def _solve(self, pos: int) -> Configuration | None:
         while pos < len(self.order):
             side, x = self.order[pos]
-            store = self.val[side]
-            if store[x] is not None:
+            doms = self.dom[side]
+            domain = doms[x]
+            if not domain & (domain - 1):  # one value: already fixed
                 pos += 1
                 continue
-            for value in self._candidates(side, x):
+            while domain:
+                bit = domain & -domain  # lowest index first
+                domain ^= bit
                 self.stats.nodes_expanded += 1
                 if self.stats.nodes_expanded > self.budget:
                     raise _Budget
-                store[x] = value
-                trail = [(side, x)]
-                if self._propagate(trail):
+                trail = [(doms, x, doms[x])]
+                doms[x] = bit
+                if self._narrow(side, x, trail):
                     found = self._solve(pos + 1)
                     if found is not None:
                         return found
-                for s, y in trail:
-                    self.val[s][y] = None
+                for d, y, old in reversed(trail):
+                    d[y] = old
             return None
         uni = self.tables.universe
-        points, lines = self.val
-        return Configuration(
-            self.q, tuple(uni[v] for v in points), tuple(uni[v] for v in lines)
+        points, lines = (
+            tuple(uni[d.bit_length() - 1] for d in doms) for doms in self.dom
         )
+        return Configuration(self.q, points, lines)
 
 
 def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Verdict:

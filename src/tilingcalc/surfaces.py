@@ -139,6 +139,12 @@ class DeltaComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DeltaComplex":
+        _require_ints("vertex count", [obj["vertices"]])
+        _require_ints("edge endpoint", [v for edge in obj["edges"] for v in edge])
+        _require_ints("face entry", [x for face in obj["faces"] for x in face])
+        simplicial = obj.get("simplicial", False)
+        if type(simplicial) is not bool:
+            raise BadComplex(f"simplicial {simplicial!r} is not true or false")
         faces = tuple(
             tuple((abs(x) - 1, 1 if x > 0 else -1) for x in face)
             for face in obj["faces"]
@@ -147,8 +153,16 @@ class DeltaComplex:
             obj["vertices"],
             tuple(map(tuple, obj["edges"])),
             faces,
-            obj.get("simplicial", False),
+            simplicial,
         )
+
+
+def _require_ints(what: str, values) -> None:
+    """Complex JSON holds integers only: not floats, and not booleans,
+    which Python counts as ints."""
+    for v in values:
+        if type(v) is not int:
+            raise BadComplex(f"{what} {v!r} is not an integer")
 
 
 def _dart_at(K: DeltaComplex, de: tuple[int, int], arriving: bool):
@@ -356,13 +370,18 @@ class MarkedComplex:
     def from_json_obj(cls, obj: dict) -> "MarkedComplex":
         K = DeltaComplex.from_json_obj(obj)
         p, l = obj["p"], obj["l"]
-        lab = Labeling(
-            tuple(p[f"v{i + 1}"] for i in range(K.vertex_count)),
-            tuple(p[f"e{i + 1}"] for i in range(len(K.edges))),
-            tuple(l[f"f{i + 1}"] for i in range(len(K.faces))),
-            tuple(l[f"e{i + 1}"] for i in range(len(K.edges))),
+        labels = (
+            [p[f"v{i + 1}"] for i in range(K.vertex_count)],
+            [p[f"e{i + 1}"] for i in range(len(K.edges))],
+            [l[f"f{i + 1}"] for i in range(len(K.faces))],
+            [l[f"e{i + 1}"] for i in range(len(K.edges))],
         )
-        return cls(K, lab, obj["marked"] - 1)
+        _require_ints("label", [v for part in labels for v in part])
+        marked = obj["marked"]
+        _require_ints("marked face", [marked])
+        if not 1 <= marked <= len(K.faces):
+            raise BadComplex(f"marked face {marked} is not in 1..{len(K.faces)}")
+        return cls(K, Labeling(*labels), marked - 1)
 
     @classmethod
     def from_json(cls, text: str) -> "MarkedComplex":

@@ -182,6 +182,38 @@ class TestExcise:
         )
         assert code == 2
 
+    @staticmethod
+    def excise_edited_tetrahedron(tmp_path, edit):
+        obj = json.loads((FIXTURES / "desargues-tetrahedron.json").read_text())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        return run_module("excise", str(bad), "--face", "marked", "--group", "R*")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda o: o.update(simplicial=[]), id="simplicial-list"),
+            pytest.param(lambda o: o.update(simplicial="no"), id="simplicial-string"),
+            pytest.param(lambda o: o.update(marked=4.0), id="marked-float"),
+            pytest.param(lambda o: o["edges"][0].__setitem__(0, 0.9), id="endpoint-float"),
+            pytest.param(lambda o: o["edges"][0].__setitem__(1, True), id="endpoint-bool"),
+            pytest.param(lambda o: o["faces"][0].__setitem__(0, 1.5), id="face-float"),
+            pytest.param(lambda o: o["p"].update(v1=7.5), id="label-float"),
+        ],
+    )
+    def test_malformed_complex_is_usage_error(self, tmp_path, edit):
+        proc = self.excise_edited_tetrahedron(tmp_path, edit)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("marked", [99, 0])
+    def test_marked_out_of_range_names_field(self, tmp_path, marked):
+        proc = self.excise_edited_tetrahedron(tmp_path, lambda o: o.update(marked=marked))
+        assert proc.returncode == 2, proc.stderr
+        assert f"marked face {marked} is not in 1..4" in proc.stderr
+
 
 class TestComplexCommands:
     def test_generate_matches_library(self, capsys):

@@ -10,6 +10,7 @@ from tilingcalc.catalog import (
     line_count_matrix,
     warmup_matrix,
 )
+from tilingcalc.complexes import nine_gon_grope, non_grope_complex
 from tilingcalc.fields import field
 from tilingcalc.plane import (
     Configuration,
@@ -25,6 +26,7 @@ from tilingcalc.search import (
     check_theorem,
     verify_configuration,
 )
+from tilingcalc.surfaces import generate_theorem
 from tilingcalc.ternary import IncidenceMatrix
 
 
@@ -225,9 +227,77 @@ class TestSubfieldMonotonicity:
                 tested += 1
 
 
+# The first counterexample in the search order (variables most-constrained
+# first, values in canonical point order).  Pruning that drops only
+# subtrees without solutions must keep finding exactly these.
+PINNED_COUNTEREXAMPLES = [
+    pytest.param(
+        fano_closure_matrix, 2,
+        ((1, 1, 1), (1, 0, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)),
+        ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 1), (1, 1, 0)),
+        id="fano-2",
+    ),
+    pytest.param(
+        hexagon_closure_matrix, 3,
+        ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0), (1, 0, 2), (1, 2, 0), (0, 1, 2),
+         (1, 2, 1)),
+        ((1, 0, 2), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 2, 2), (1, 1, 1), (1, 2, 1),
+         (1, 1, 0)),
+        id="hexagon-3",
+    ),
+    pytest.param(
+        lambda: line_count_matrix(2), 3,
+        ((0, 1, 1), (0, 0, 1), (0, 1, 0)),
+        ((0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        id="line-count-2-3",
+    ),
+    pytest.param(
+        lambda: generate_theorem(nine_gon_grope()), 4,
+        ((1, 2, 2), (0, 0, 1), (0, 1, 0), (1, 0, 3), (1, 3, 1), (1, 3, 0), (1, 2, 0),
+         (1, 2, 3), (1, 2, 2), (1, 3, 2), (1, 1, 2), (1, 1, 3), (1, 1, 1), (1, 0, 0),
+         (1, 0, 1), (0, 1, 2)),
+        ((1, 0, 0), (1, 1, 2), (1, 2, 0), (0, 0, 1), (1, 3, 0), (1, 3, 0), (1, 0, 3),
+         (1, 0, 3), (1, 1, 0), (1, 0, 2), (0, 1, 1), (0, 1, 0), (1, 0, 1), (1, 3, 2),
+         (0, 1, 3), (1, 2, 1), (1, 3, 2), (0, 1, 3), (1, 2, 1), (1, 3, 2), (0, 1, 3),
+         (1, 2, 1)),
+        id="nine-gon-4",
+    ),
+    pytest.param(
+        lambda: generate_theorem(non_grope_complex()), 5,
+        ((1, 3, 2), (0, 0, 1), (0, 1, 0), (1, 2, 3), (1, 0, 3), (1, 2, 4), (1, 0, 3),
+         (1, 1, 1), (1, 1, 0), (1, 2, 0), (1, 4, 4), (1, 4, 3), (1, 1, 4), (1, 0, 0),
+         (1, 0, 4), (0, 1, 1)),
+        ((1, 0, 0), (1, 1, 3), (1, 4, 0), (0, 0, 1), (1, 2, 4), (1, 1, 0), (1, 0, 3),
+         (1, 2, 0), (1, 0, 3), (1, 1, 3), (0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0),
+         (1, 0, 1), (1, 0, 1), (1, 2, 3), (0, 1, 4), (1, 4, 1), (1, 2, 3), (0, 1, 4),
+         (1, 4, 1)),
+        id="non-grope-5",
+    ),
+]
+
+
 class TestDeterminism:
     def test_counterexample_is_reproducible(self):
         mat = hexagon_closure_matrix()
         a = check_theorem(mat, 3).counterexample
         b = check_theorem(mat, 3).counterexample
         assert a == b
+
+    @pytest.mark.parametrize("build,q,points,lines", PINNED_COUNTEREXAMPLES)
+    def test_first_counterexample_is_pinned(self, build, q, points, lines):
+        v = check_theorem(build(), q)
+        assert v.outcome == "counterexample"
+        assert v.counterexample == Configuration(q, points, lines)
+
+
+class TestForwardChecking:
+    @pytest.mark.parametrize(
+        "mat,q",
+        [(warmup_matrix(), 4), (line_count_matrix(3), 3)],
+        ids=["warm-up-4", "line-count-3-3"],
+    )
+    def test_decided_within_benchmark_budget(self, mat, q):
+        # forward checking decides these in about 1.2k and 2.1k nodes;
+        # checking values only against assigned neighbours needs more
+        # than 12,000 for each
+        assert check_theorem(mat, q, node_budget=12_000).outcome == "true"
