@@ -117,7 +117,16 @@ def _justification_from_json(obj: dict, shape: tuple[int, int]):
     if kind == AxiomContradiction.kind:
         expected = None
         if "rows" in obj or "cols" in obj:
-            expected = PatternWitness(tuple(obj["rows"]), tuple(obj["cols"]))
+            rows, cols = obj["rows"], obj["cols"]
+            if not all(
+                isinstance(ids, list) and len(ids) == 3 and all(_is_index(v, bound) for v in ids)
+                for ids, bound in zip((rows, cols), shape)
+            ):
+                raise CertificateParseError(
+                    f"witness rows {rows!r}, cols {cols!r} are not three rows and three "
+                    f"columns of the {shape[0]}x{shape[1]} start matrix"
+                )
+            expected = PatternWitness(tuple(rows), tuple(cols))
         return AxiomContradiction(expected)
     if kind == Elementary.kind:
         target = _cell_from_json(obj["target"], shape, "target") if "target" in obj else None

@@ -7,6 +7,12 @@ Exit codes: 0 — the claim was verified (theorem true, configuration
 valid, certificate accepted, face excisable); 1 — a counterexample or
 violation was found, with the witness in the report; 2 — usage or
 resource errors.
+
+Exit 2 is decided in two places only: ``_load`` turns any fault in an
+input file (unreadable, not JSON, nested too deep, or content its type
+rejects) into a ``UsageError`` naming the file, and ``main`` turns any
+``ValueError``, ``KeyError``, ``TypeError`` or ``IndexError`` that
+escapes a subcommand into one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -41,15 +47,18 @@ class UsageError(ValueError):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """The file parsed by ``parse`` (a type's ``from_json``); any fault in
+    its text or content is a usage error naming the file."""
+    text = _read(path)
     try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        return parse(text)
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _digest(path: str) -> str:
@@ -89,34 +98,17 @@ def parse_group(text: str) -> GroupSpec:
                 return GroupSpec.rational_functions(q)
             return GroupSpec.finite_field(q)
         return GroupSpec.from_json(name)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot parse group {text!r}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> IncidenceMatrix:
-    try:
-        return IncidenceMatrix.from_json_obj(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
-def _load_complex(path: str) -> MarkedComplex:
-    try:
-        return MarkedComplex.from_json_obj(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
-    from .search import UnsupportedField, check_theorem
+    from .search import check_theorem
 
-    try:
-        verdict = check_theorem(_load_matrix(args.matrix), args.q)
-    except UnsupportedField as exc:
-        raise UsageError(f"no projective plane of order {args.q} is supported") from exc
+    verdict = check_theorem(_load(args.matrix, IncidenceMatrix.from_json), args.q)
     _emit(_report(args, [args.matrix], q=args.q, verdict=verdict.to_json_obj()))
     if verdict.outcome in ("true", "vacuous"):
         return 0
@@ -128,12 +120,8 @@ def _cmd_check(args) -> int:
 def _cmd_verify(args) -> int:
     from .search import verify_configuration
 
-    mat = _load_matrix(args.matrix)
-    try:
-        config = Configuration.from_json_obj(_load_json(args.config))
-        ok = verify_configuration(mat, config)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{args.config}: {exc}") from exc
+    mat = _load(args.matrix, IncidenceMatrix.from_json)
+    ok = verify_configuration(mat, _load(args.config, Configuration.from_json))
     _emit(_report(args, [args.matrix, args.config], verified=ok))
     return 0 if ok else 1
 
@@ -150,24 +138,18 @@ def _parse_seeds(specs) -> list[tuple[int, int, int]]:
 
 
 def _cmd_propagate(args) -> int:
-    mat = _load_matrix(args.matrix)
-    sweeps = args.sweeps
-    if sweeps != "fix":
+    mat = _load(args.matrix, IncidenceMatrix.from_json)
+    sweeps = "fixpoint"
+    if args.sweeps != "fix":
         try:
-            sweeps = int(sweeps)
+            sweeps = int(args.sweeps)
         except ValueError as exc:
             raise UsageError("--sweeps takes an integer or 'fix'") from exc
-    else:
-        sweeps = "fixpoint"
     try:
         result = propagate(mat, _parse_seeds(args.seed), max_sweeps=sweeps)
     except SeedConflict as exc:
         _emit(_report(args, [args.matrix], conflict=str(exc)))
         return 1
-    except IndexError as exc:
-        raise UsageError(f"--seed cell {exc} lies outside the {mat.m}x{mat.n} matrix") from exc
-    except ValueError as exc:
-        raise UsageError(f"bad --seed or --sweeps: {exc}") from exc
     _emit(_report(args, [args.matrix], matrix=result.to_json_obj()))
     return 0
 
@@ -175,7 +157,7 @@ def _cmd_propagate(args) -> int:
 def _cmd_excise(args) -> int:
     from .excision import TooLarge, can_excise
 
-    mc = _load_complex(args.complex)
+    mc = _load(args.complex, MarkedComplex.from_json)
     K = mc.complex
     if args.face == "marked":
         face = mc.marked
@@ -219,11 +201,7 @@ def _cmd_excise(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    mc = _load_complex(args.complex)
-    try:
-        mat = generate_theorem(mc)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    mat = generate_theorem(_load(args.complex, MarkedComplex.from_json))
     _emit(_report(args, [args.complex], matrix=mat.to_json_obj()))
     return 0
 
@@ -231,23 +209,16 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     from .surfaces import validate_elementary_proof
 
-    mc = _load_complex(args.complex)
-    mat = _load_matrix(args.matrix)
+    mc = _load(args.complex, MarkedComplex.from_json)
+    mat = _load(args.matrix, IncidenceMatrix.from_json)
     group = parse_group(args.group) if args.group else None
-    try:
-        report = validate_elementary_proof(mc, mat, group=group)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = validate_elementary_proof(mc, mat, group=group)
     _emit(_report(args, [args.complex, args.matrix], report=report.to_json_obj()))
     return 0 if report.ok else 1
 
 
 def _cmd_subdivide(args) -> int:
-    mc = _load_complex(args.complex)
-    try:
-        out = octahedral_subdivide(mc)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    out = octahedral_subdivide(_load(args.complex, MarkedComplex.from_json))
     _emit(_report(args, [args.complex], complex=out.to_json_obj()))
     return 0
 
@@ -275,12 +246,9 @@ def _cmd_grope(args) -> int:
 
 
 def _cmd_prove_validate(args) -> int:
-    from .certificates import Certificate, CertificateParseError, CoverageGap, validate_certificate
+    from .certificates import Certificate, CoverageGap, validate_certificate
 
-    try:
-        cert = Certificate.from_json(_read(args.certificate))
-    except CertificateParseError as exc:
-        raise UsageError(f"{args.certificate}: {exc}") from exc
+    cert = _load(args.certificate, Certificate.from_json)
     try:
         report = validate_certificate(cert)
     except CoverageGap as exc:
@@ -312,14 +280,11 @@ def _parse_quaternion(text: str):
 
 
 def _cmd_quat(args) -> int:
-    from .noncomm import Commuting, pappus_counterexample
+    from .noncomm import pappus_counterexample
 
     u = _parse_quaternion(args.u)
     v = _parse_quaternion(args.v)
-    try:
-        config = pappus_counterexample(u, v)
-    except Commuting as exc:
-        raise UsageError(f"holonomies must not commute: {exc}") from exc
+    config = pappus_counterexample(u, v)
     _emit(
         _report(
             args,
@@ -469,7 +434,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

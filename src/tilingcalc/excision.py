@@ -79,8 +79,12 @@ class GroupSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GroupSpec":
-        t = obj["torsion"]
-        return cls(bool(obj["infinite"]), t if t == FULL else tuple(t))
+        infinite, t = obj["infinite"], obj["torsion"]
+        if type(infinite) is not bool:
+            raise ValueError(f"infinite {infinite!r} is not true or false")
+        if t != FULL and not (isinstance(t, list) and all(type(m) is int for m in t)):
+            raise ValueError(f'torsion {t!r} is not "full" or a list of integers')
+        return cls(infinite, t if t == FULL else tuple(t))
 
     @classmethod
     def from_json(cls, text: str) -> "GroupSpec":

@@ -507,7 +507,7 @@ def hexagon_edge_values(u: Quaternion, v: Quaternion) -> dict[int, Quaternion]:
     the five face relations with holonomies u and v and central gauge
     choices that keep every value distinct from 1."""
     if u * v == v * u:
-        raise Commuting((u, v))
+        raise Commuting(f"holonomies {u.to_json_obj()} and {v.to_json_obj()} commute")
     two, three, six = (Quaternion.of(n) for n in (2, 3, 6))
     vals = {
         5: two,

@@ -201,7 +201,12 @@ class Configuration:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Configuration":
-        return cls(obj["q"], tuple(map(tuple, obj["points"])), tuple(map(tuple, obj["lines"])))
+        q, points, lines = obj["q"], obj["points"], obj["lines"]
+        coordinates = [v for triple in [*points, *lines] for v in triple]
+        for v in [q, *coordinates]:
+            if type(v) is not int:  # not a float, and not a bool
+                raise ValueError(f"q and coordinates must be integers, not {v!r}")
+        return cls(q, tuple(map(tuple, points)), tuple(map(tuple, lines)))
 
     @classmethod
     def from_json(cls, text: str) -> "Configuration":

@@ -216,7 +216,7 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
     """Complete search verdict for the theorem with this matrix over the
     plane of order q."""
     if q not in SUPPORTED_ORDERS:
-        raise UnsupportedField(q)
+        raise UnsupportedField(f"no projective plane of order {q} is supported")
     stats = SearchStats()
     try:
         counterexample = None
@@ -289,7 +289,7 @@ def realize_from_cochain(mc, values, q: int):
     from .surfaces import generate_theorem
 
     if q not in SUPPORTED_ORDERS:
-        raise UnsupportedField(q)
+        raise UnsupportedField(f"no projective plane of order {q} is supported")
     F = field(q)
     K, lab = mc.complex, mc.labeling
     mat = generate_theorem(mc)

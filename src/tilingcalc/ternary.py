@@ -226,10 +226,10 @@ def propagate(
     grid = [list(r) for r in mat.rows()]
     for i, j, v in seeds:
         if not (1 <= i <= mat.m and 1 <= j <= mat.n):
-            raise IndexError((i, j))
+            raise IndexError(f"seed cell ({i},{j}) lies outside the {mat.m}x{mat.n} matrix")
         cur = grid[i - 1][j - 1]
         if v not in _VALID:
-            raise ValueError(v)
+            raise ValueError(f"seed value {v!r} is not -1, 0 or 1")
         if cur != ZERO and cur != v:
             raise SeedConflict(f"seed ({i},{j})={v} conflicts with entry {cur}")
         grid[i - 1][j - 1] = v

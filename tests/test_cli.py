@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,12 +9,14 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tilingcalc
 from tilingcalc.catalog import pappus_case1_golden
 from tilingcalc.cli import UsageError, main, parse_group
 from tilingcalc.complexes import desargues_tetrahedron, one_line_complex
 from tilingcalc.excision import GroupSpec
+from tilingcalc.search import check_theorem
 from tilingcalc.surfaces import MarkedComplex, generate_theorem
 from tilingcalc.ternary import IncidenceMatrix
 
@@ -40,6 +45,15 @@ def aux_step(a, kind="PointOnTwoLines"):
 
 def split_on(cell, cert_obj):
     return {"cell": cell, "minus": cert_obj["cases"], "plus": cert_obj["cases"]}
+
+
+def axiom_leaf(rows, cols):
+    return {"leaf": {"kind": "axiom-contradiction", "rows": rows, "cols": cols}}
+
+
+def set_first_one(triple, value):
+    """Rewrite the leading 1 of a normalized projective triple."""
+    triple[triple.index(1)] = value
 
 
 def run(capsys, *argv):
@@ -100,6 +114,25 @@ class TestVerify:
         witness.write_text(json.dumps(report["verdict"]["counterexample"]))
         code, report = run(capsys, "verify", fx("pappus12x9.json"), str(witness))
         assert code == 2  # dimension mismatch is a usage error
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda c: set_first_one(c["points"][0], 1.0), id="coordinate-float"),
+            pytest.param(lambda c: set_first_one(c["lines"][0], True), id="coordinate-bool"),
+            pytest.param(lambda c: c.update(q=2.0), id="q-float"),
+        ],
+    )
+    def test_non_integer_configuration_is_usage_error(self, tmp_path, edit):
+        config = check_theorem(IncidenceMatrix.from_json(Path(fx("fano.json")).read_text()), 2)
+        obj = config.counterexample.to_json_obj()
+        edit(obj)
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps(obj))
+        proc = run_module("verify", fx("fano.json"), str(witness))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {witness}: ")
 
 
 class TestPropagate:
@@ -207,6 +240,26 @@ class TestExcise:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"infinite": "no", "torsion": [2]}',
+            '{"infinite": 0, "torsion": [2]}',
+            '{"infinite": false, "torsion": [1.5]}',
+            '{"infinite": false, "torsion": [true]}',
+            '{"infinite": false, "torsion": "all"}',
+            '{"infinite": false, "torsion": [0]}',
+            pytest.param("[" * 100_000, id="nested-too-deep"),
+        ],
+    )
+    def test_malformed_group_spec_is_usage_error(self, spec):
+        proc = run_module(
+            "excise", fx("desargues-tetrahedron.json"), "--face", "1", "--group", spec
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot parse group")
 
     @pytest.mark.parametrize("marked", [99, 0])
     def test_marked_out_of_range_names_field(self, tmp_path, marked):
@@ -317,6 +370,21 @@ class TestProveValidate:
             pytest.param(lambda o: o["cases"]["leaf"].update(target=[99, 1]), id="target-99-1"),
             pytest.param(lambda o: [o], id="top-level-list"),
             pytest.param(lambda o: o.update(cases={"leaf": "x"}), id="leaf-string"),
+            pytest.param(lambda o: o.update(group={"infinite": "no", "torsion": [2]}),
+                         id="group-infinite-string"),
+            pytest.param(lambda o: o.update(group={"infinite": False, "torsion": [1.5]}),
+                         id="group-torsion-float"),
+            pytest.param(lambda o: o.update(group={"infinite": False, "torsion": [True]}),
+                         id="group-torsion-bool"),
+            pytest.param(lambda o: o.update(cases=axiom_leaf("abc", "xyz")), id="witness-strings"),
+            pytest.param(lambda o: o.update(cases=axiom_leaf([1, 2, 99], [1, 2, 3])),
+                         id="witness-row-99"),
+            pytest.param(lambda o: o.update(cases=axiom_leaf([1, 2, 3], [0, 1, 2])),
+                         id="witness-col-0"),
+            pytest.param(lambda o: o.update(cases=axiom_leaf([1, 2], [1, 2, 3])),
+                         id="witness-two-rows"),
+            pytest.param(lambda o: o.update(cases=axiom_leaf([1, 2, True], [1, 2, 3])),
+                         id="witness-bool"),
         ],
     )
     def test_bad_content_is_usage_error(self, tmp_path, edit):
@@ -368,7 +436,14 @@ class TestPlumbing:
 
     def test_missing_file(self, capsys):
         code = main(["check", "/nonexistent.json", "--q", "2"])
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("error: cannot read /nonexistent.json: ")
+        assert code == 2
+
+    def test_non_utf8_file_is_unreadable(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe not utf-8")
+        code = main(["propagate", str(path)])
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
         assert code == 2
 
     @pytest.mark.parametrize(
@@ -390,6 +465,144 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "DEEP", "--q", "2"],
+            ["verify", "DEEP", fx("fano.json")],
+            ["verify", fx("fano.json"), "DEEP"],
+            ["propagate", "DEEP"],
+            ["excise", "DEEP", "--face", "marked", "--group", "R*"],
+            ["generate", "DEEP"],
+            ["validate", fx("pappus-torus-case1.json"), "--matrix", "DEEP"],
+            ["subdivide", "DEEP"],
+            ["prove-validate", "DEEP"],
+        ],
+    )
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        proc = run_module(*(str(deep) if a == "DEEP" else a for a in argv))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert str(deep) in proc.stderr
+
     def test_reports_carry_input_digests(self, capsys):
         _, report = run(capsys, "generate", fx("desargues-tetrahedron.json"))
         assert list(report["inputs"].values())[0]
+
+
+# -- fuzzing the exit contract ----------------------------------------------
+
+DROP = object()
+REPLACEMENTS = [DROP, 0, -1, 1.5, True, None, "x", [], {}, 10**30]
+
+# (argv, the input to mutate); MUT is the mutated file, CONFIG and GOLDEN
+# are the fano counterexample over q=2 and the pappus case-1 golden matrix
+FUZZ_RUNS = [
+    (["check", "MUT", "--q", "2"], "fano.json"),
+    (["verify", "MUT", "CONFIG"], "fano.json"),
+    (["verify", fx("fano.json"), "MUT"], "CONFIG"),
+    (["propagate", "MUT", "--seed", "10,4,-1"], "pappus12x9.json"),
+    (["excise", "MUT", "--face", "marked", "--group", "R*"], "desargues-tetrahedron.json"),
+    (["excise", "MUT", "--face", "marked", "--group", "F4"], "ninegon-grope.json"),
+    (["generate", "MUT"], "desargues-tetrahedron.json"),
+    (["validate", "MUT", "--matrix", "GOLDEN", "--group", "R*"], "pappus-torus-case1.json"),
+    (["validate", fx("pappus-torus-case1.json"), "--matrix", "MUT", "--group", "R*"], "GOLDEN"),
+    (["subdivide", "MUT"], "one-line-octahedron.json"),
+    (["prove-validate", "MUT"], "cert-one-line.json"),
+    (["prove-validate", "MUT"], "cert-desargues.json"),
+    (["prove-validate", "MUT"], "cert-nine-gon.json"),
+    (["prove-validate", "MUT"], "cert-pappus.json"),
+]
+
+
+def json_paths(obj, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value) -> str:
+    """The document with the value at path dropped or replaced, as text."""
+    if not path:
+        return "" if value is DROP else json.dumps(value)
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return json.dumps(doc)
+
+
+def carries_evidence(command, report) -> bool:
+    """Whether an exit-1 report names what made the claim fail."""
+    if command == "check":
+        return "counterexample" in report["verdict"]
+    if command == "verify":
+        return report["verified"] is False
+    if command == "propagate":
+        return "conflict" in report
+    if command == "excise":
+        return report["excisable"] is False and report["failingCochain"] is not None
+    if command == "validate":
+        r = report["report"]
+        return bool(
+            len(r["zeroPairs"]) != 1
+            or r["plusViolations"]
+            or r["minusViolations"]
+            or r["excisable"] is False
+        )
+    if command == "prove-validate":
+        return "coverageGap" in report or any(
+            not leaf["ok"] for leaf in report["report"]["leaves"]
+        )
+    return False  # generate and subdivide have no negative verdict
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    fano = IncidenceMatrix.from_json(Path(fx("fano.json")).read_text())
+    docs = {
+        "CONFIG": check_theorem(fano, 2).counterexample.to_json_obj(),
+        "GOLDEN": pappus_case1_golden().to_json_obj(),
+    }
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    for _, source in FUZZ_RUNS:
+        if source not in docs:
+            docs[source] = json.loads((FIXTURES / source).read_text())
+    return root, docs
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_contract_on_mutated_inputs(self, fuzz_inputs, data):
+        root, docs = fuzz_inputs
+        argv, source = data.draw(st.sampled_from(FUZZ_RUNS))
+        path = data.draw(st.sampled_from(list(json_paths(docs[source]))))
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        (root / "MUT.json").write_text(mutated(docs[source], path, value))
+        argv = [str(root / f"{a}.json") if a in ("MUT", "CONFIG", "GOLDEN") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # any exception escaping main fails the test
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        if code == 1:
+            assert carries_evidence(argv[0], json.loads(out.getvalue()))
