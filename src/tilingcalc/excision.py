@@ -331,8 +331,9 @@ _ORACLE_MAX_SOLUTIONS = 2 * 10**6
 
 def _oracle_solutions(K: DeltaComplex, face: int, n: int):
     """Yield every Z/n edge labeling satisfying the triangle relation on
-    all faces except the given one, paired with the value the excluded
-    face's relation takes on it."""
+    all faces except the given one, as its coordinates w in the basis of
+    V's columns (the labeling itself is V·w mod n), paired with the value
+    the excluded face's relation takes on it."""
     if not 0 <= face < len(K.faces):
         raise FaceNotFound(face)
     if len(K.edges) > _ORACLE_MAX_EDGES or n > _ORACLE_MAX_MODULUS or n < 2:
@@ -349,11 +350,9 @@ def _oracle_solutions(K: DeltaComplex, face: int, n: int):
         total *= len(vals)
         if total > _ORACLE_MAX_SOLUTIONS:
             raise TooLarge(total)
+    c = [sum(b0[e] * V[e][j] for e in range(ncols)) % n for j in range(ncols)]
     for w in itertools.product(*choices):
-        u = tuple(
-            sum(V[e][j] * w[j] for j in range(ncols)) % n for e in range(ncols)
-        )
-        yield u, sum(b0[e] * u[e] for e in range(ncols)) % n
+        yield w, sum(cj * wj for cj, wj in zip(c, w)) % n
 
 
 def oracle_can_excise(K: DeltaComplex, face: int, n: int) -> bool:
@@ -365,9 +364,10 @@ def oracle_can_excise(K: DeltaComplex, face: int, n: int) -> bool:
 def failing_cochain(K: DeltaComplex, face: int, n: int) -> Cochain | None:
     """A Z/n edge labeling satisfying all other faces' relations but not
     this face's, if one exists (first in enumeration order)."""
-    for u, value in _oracle_solutions(K, face, n):
+    for w, value in _oracle_solutions(K, face, n):
         if value != 0:
-            return Cochain(n, u)
+            V = _factorisation(K, face)[2]
+            return Cochain(n, tuple(sum(a * b for a, b in zip(row, w)) % n for row in V))
     return None
 
 

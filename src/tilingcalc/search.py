@@ -9,8 +9,10 @@ means the theorem is vacuous).  Search is exhaustive within the node
 budget and deterministic: variables follow a fixed most-constrained-first
 order, and each holds a bitmask domain over the canonical point list that
 forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
-scanned lowest index first.  Pruning drops only subtrees without
-solutions, so the counterexample found is the first one in that order.
+scanned lowest index first.  Pruning drops subtrees without solutions
+and, at the first two branch points, subtrees that a collineation maps
+onto an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996), so
+the counterexample found is still the first one in that order.
 SearchStats counts the values tried at branch points (nodesExpanded) and
 the values forced because a domain narrowed to one (propagationsForced).
 """
@@ -131,6 +133,23 @@ class _Searcher:
     it, and a neighbour left with one value is fixed in turn; an empty
     domain cuts the branch.  forbid_conclusion adds the requirement that
     point 0 misses line 0 (the counterexample phase) as one more -1 cell.
+
+    Symmetry breaking.  Every constraint is an incidence or a
+    non-incidence, so PGL(3, q) maps solutions to solutions, and a branch
+    point need only scan the lowest value of each orbit, inside its
+    domain, of the group fixing the values already assigned.  At the
+    first branch point (pos 0) nothing is assigned and the group is
+    transitive on points and on lines: one value.  At the second (pos 1)
+    only the first variable holds a value v; one value cannot force
+    another, because narrowing leaves q + 1 or q^2 values, so the domain
+    is full or v's +1 or -1 mask.  The stabilizer of v has two orbits on
+    each side: {v} and the rest on v's own side, the values incident with
+    v and the rest on the other; the domain is a union of them, so at
+    most two values.  The lowest solution in the search order survives:
+    were its value at either branch point not the lowest of its orbit, a
+    collineation fixing the earlier value would map it to a solution
+    that is lower still.  So every verdict and every counterexample is
+    that of the unbroken search.
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
@@ -179,6 +198,18 @@ class _Searcher:
                     fixed.append((1 - side, y))
         return True
 
+    def _orbit_representatives(self, pos: int, side: int, domain: int) -> int:
+        """The lowest value of each orbit of the group fixing the values
+        assigned so far, inside the domain of the first (pos 0) or second
+        (pos 1) branch point; see the class docstring."""
+        if pos == 0:
+            return domain & -domain
+        first_side, first_x = self.order[0]
+        v = self.dom[first_side][first_x].bit_length() - 1
+        orbit = 1 << v if side == first_side else self.tables.on[v]
+        inside, outside = domain & orbit, domain & ~orbit
+        return (inside & -inside) | (outside & -outside)
+
     def run(self) -> Configuration | None:
         return self._solve(0)
 
@@ -190,6 +221,8 @@ class _Searcher:
             if not domain & (domain - 1):  # one value: already fixed
                 pos += 1
                 continue
+            if pos < 2:
+                domain = self._orbit_representatives(pos, side, domain)
             while domain:
                 bit = domain & -domain  # lowest index first
                 domain ^= bit

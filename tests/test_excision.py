@@ -22,6 +22,7 @@ from tilingcalc.excision import (
     smith_normal_form,
     torsion_coprime,
 )
+from tilingcalc.gropes import random_closed_surface
 from tilingcalc.surfaces import DeltaComplex, FaceNotFound
 
 FIXTURES = [
@@ -146,6 +147,13 @@ class TestOracleAgreement:
                 assert can_excise(K, f, GroupSpec(False, (n,))) == oracle_can_excise(
                     K, f, n
                 ), (builder.__name__, f, n)
+
+    def test_thirty_edge_surface(self):
+        # 20 faces, 30 edges (the oracle's cap) and 3^11 labelings mod 3,
+        # so the oracle must not form the edge labeling V·w for each
+        K = random_closed_surface(random.Random(3), max_faces=20)
+        assert (len(K.faces), len(K.edges)) == (20, 30)
+        assert oracle_can_excise(K, 0, 3) == can_excise(K, 0, GroupSpec(False, (3,)))
 
     def test_torus_face_over_5(self):
         K = pappus_torus_case1().complex

@@ -8,9 +8,10 @@ from tilingcalc.catalog import (
     hexagon_closure_matrix,
     hexagon_counterexample_points,
     line_count_matrix,
+    pappus_base_matrix,
     warmup_matrix,
 )
-from tilingcalc.complexes import nine_gon_grope, non_grope_complex
+from tilingcalc.complexes import desargues_tetrahedron, nine_gon_grope, non_grope_complex
 from tilingcalc.fields import field
 from tilingcalc.plane import (
     Configuration,
@@ -23,6 +24,7 @@ from tilingcalc.plane import (
 )
 from tilingcalc.search import (
     UnsupportedField,
+    _Searcher,
     check_theorem,
     verify_configuration,
 )
@@ -120,7 +122,7 @@ class TestCheckTheoremGolden:
         v = check_theorem(fano_closure_matrix(), 2)
         assert v.outcome == "counterexample"
 
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_fano_true_over_odd_orders(self, q):
         assert check_theorem(fano_closure_matrix(), q).outcome == "true"
 
@@ -301,3 +303,47 @@ class TestForwardChecking:
         # checking values only against assigned neighbours needs more
         # than 12,000 for each
         assert check_theorem(mat, q, node_budget=12_000).outcome == "true"
+
+
+class TestSymmetryBreaking:
+    def test_agrees_with_unbroken_search(self, monkeypatch):
+        # scanning every value at the first two branch points is the plain
+        # search; the cut must keep its outcome and its first counterexample
+        rng = random.Random(909)
+        cases = []
+        for _ in range(300):
+            q = rng.choice([2, 3, 4, 5, 7])
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.choice([-1, 0, 0, 1, 1]) for _ in range(n)] for _ in range(m)]
+            cases.append((IncidenceMatrix(rows), q))
+        pruned = [check_theorem(mat, q) for mat, q in cases]
+        monkeypatch.setattr(
+            _Searcher, "_orbit_representatives", lambda self, pos, side, domain: domain
+        )
+        plain = [check_theorem(mat, q) for mat, q in cases]
+        for (mat, q), a, b in zip(cases, pruned, plain):
+            assert (a.outcome, a.counterexample) == (b.outcome, b.counterexample), (
+                mat.rows(), q)
+        assert sum(v.stats.nodes_expanded for v in pruned) < sum(
+            v.stats.nodes_expanded for v in plain
+        )
+
+    @pytest.mark.parametrize(
+        "build,q",
+        [
+            (pappus_base_matrix, 3),
+            (lambda: generate_theorem(desargues_tetrahedron()), 3),
+            (fano_closure_matrix, 5),
+            (fano_closure_matrix, 7),
+            (fano_closure_matrix, 9),
+            (warmup_matrix, 8),
+            (warmup_matrix, 9),
+        ],
+        ids=["pappus-3", "desargues-3", "fano-5", "fano-7", "fano-9", "warm-up-8",
+             "warm-up-9"],
+    )
+    def test_decided_within_benchmark_budget(self, build, q):
+        # each holds over the field of order q (Pappus and Desargues over
+        # every field, Fano's closure in odd characteristic, the warm-up in
+        # every plane) and needs more than 12,000 nodes without the cut
+        assert check_theorem(build(), q, node_budget=12_000).outcome == "true"
