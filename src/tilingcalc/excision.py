@@ -338,11 +338,10 @@ def _oracle_solutions(K: DeltaComplex, face: int, n: int):
         raise FaceNotFound(face)
     if len(K.edges) > _ORACLE_MAX_EDGES or n > _ORACLE_MAX_MODULUS or n < 2:
         raise TooLarge((len(K.edges), n))
-    b0, diag, V = _factorisation(K, face)
-    ncols = len(diag)
+    classes = _quotient_class(K, face)
     choices = []
     total = 1
-    for d in diag:
+    for _, d in classes:
         g = gcd(d, n)
         step = n // g if g else 1
         vals = list(range(0, n, step)) if g else list(range(n))
@@ -350,7 +349,7 @@ def _oracle_solutions(K: DeltaComplex, face: int, n: int):
         total *= len(vals)
         if total > _ORACLE_MAX_SOLUTIONS:
             raise TooLarge(total)
-    c = [sum(b0[e] * V[e][j] for e in range(ncols)) % n for j in range(ncols)]
+    c = [x % n for x, _ in classes]
     for w in itertools.product(*choices):
         yield w, sum(cj * wj for cj, wj in zip(c, w)) % n
 

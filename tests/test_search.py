@@ -294,15 +294,30 @@ class TestDeterminism:
 
 class TestForwardChecking:
     @pytest.mark.parametrize(
-        "mat,q",
-        [(warmup_matrix(), 4), (line_count_matrix(3), 3)],
-        ids=["warm-up-4", "line-count-3-3"],
+        "build,q",
+        [
+            # forward checking decides these in about 1.2k and 2.1k nodes;
+            # checking values only against assigned neighbours needs more
+            # than 12,000 for each
+            pytest.param(warmup_matrix, 4, id="warm-up-4"),
+            pytest.param(lambda: line_count_matrix(3), 3, id="line-count-3-3"),
+            # these need the symmetry breaking at the first two branch
+            # points as well; each holds over the field of order q (Pappus
+            # and Desargues over every field, Fano's closure in odd
+            # characteristic, the warm-up in every plane)
+            pytest.param(pappus_base_matrix, 3, id="pappus-3"),
+            pytest.param(
+                lambda: generate_theorem(desargues_tetrahedron()), 3, id="desargues-3"
+            ),
+            pytest.param(fano_closure_matrix, 5, id="fano-5"),
+            pytest.param(fano_closure_matrix, 7, id="fano-7"),
+            pytest.param(fano_closure_matrix, 9, id="fano-9"),
+            pytest.param(warmup_matrix, 8, id="warm-up-8"),
+            pytest.param(warmup_matrix, 9, id="warm-up-9"),
+        ],
     )
-    def test_decided_within_benchmark_budget(self, mat, q):
-        # forward checking decides these in about 1.2k and 2.1k nodes;
-        # checking values only against assigned neighbours needs more
-        # than 12,000 for each
-        assert check_theorem(mat, q, node_budget=12_000).outcome == "true"
+    def test_decided_within_benchmark_budget(self, build, q):
+        assert check_theorem(build(), q, node_budget=12_000).outcome == "true"
 
 
 class TestSymmetryBreaking:
@@ -327,23 +342,3 @@ class TestSymmetryBreaking:
         assert sum(v.stats.nodes_expanded for v in pruned) < sum(
             v.stats.nodes_expanded for v in plain
         )
-
-    @pytest.mark.parametrize(
-        "build,q",
-        [
-            (pappus_base_matrix, 3),
-            (lambda: generate_theorem(desargues_tetrahedron()), 3),
-            (fano_closure_matrix, 5),
-            (fano_closure_matrix, 7),
-            (fano_closure_matrix, 9),
-            (warmup_matrix, 8),
-            (warmup_matrix, 9),
-        ],
-        ids=["pappus-3", "desargues-3", "fano-5", "fano-7", "fano-9", "warm-up-8",
-             "warm-up-9"],
-    )
-    def test_decided_within_benchmark_budget(self, build, q):
-        # each holds over the field of order q (Pappus and Desargues over
-        # every field, Fano's closure in odd characteristic, the warm-up in
-        # every plane) and needs more than 12,000 nodes without the cut
-        assert check_theorem(build(), q, node_budget=12_000).outcome == "true"
