@@ -10,11 +10,13 @@ budget and deterministic: variables follow a fixed most-constrained-first
 order, and each holds a bitmask domain over the canonical point list that
 forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
 scanned lowest index first.  Pruning drops subtrees without solutions
-and, at the first two branch points, subtrees that a collineation maps
-onto an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996), so
-the counterexample found is still the first one in that order.
-SearchStats counts the values tried at branch points (nodesExpanded) and
-the values forced because a domain narrowed to one (propagationsForced).
+and subtrees that a collineation fixing the values chosen above maps onto
+an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996); the latter
+applies at every branch point while those values span at most a
+triangle, so the counterexample found is still the first one in that
+order.  SearchStats counts the values tried at branch points
+(nodesExpanded) and the values forced because a domain narrowed to one
+(propagationsForced).
 """
 
 from __future__ import annotations
@@ -23,30 +25,12 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .fields import SUPPORTED_ORDERS, field
-from .plane import (
-    DEFAULT_CHART,
-    Configuration,
-    DimensionMismatch,
-    all_points,
-    dot,
-    incident,
-    join,
-    meet,
-    point_at_ratio,
-)
+from .plane import Configuration, DimensionMismatch, all_points, dot, incident
 from .ternary import IncidenceMatrix
 
 
 class UnsupportedField(ValueError):
     pass
-
-
-class CochainViolatesF(ValueError):
-    """A non-marked face's multiplicative edge relation does not hold."""
-
-
-class PlacementFailed(ValueError):
-    """The plane is structurally too small to host the vertex points."""
 
 
 @dataclass
@@ -120,6 +104,41 @@ def _plane_tables(q: int) -> _PlaneTables:
 POINT, LINE = 0, 1
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=4096)
+def _extended_closure(q: int, closure: tuple[int, int], side: int, x: int):
+    """The closure (points, lines) over the plane of order q with value x
+    added on the given side, or None when it has three collinear points
+    or three concurrent lines; see _Searcher.  Memoised, since a search
+    meets the same few closures at many branch points."""
+    if closure[side] >> x & 1:
+        return closure
+    on = _plane_tables(q).on
+    sets = list(closure)
+    new = [(side, x)]
+    while new:
+        s, v = new.pop()
+        if sets[s] >> v & 1:
+            continue
+        new.extend((1 - s, (on[v] & on[w]).bit_length() - 1) for w in _bits(sets[s]))
+        sets[s] |= 1 << v
+        # four points close to three collinear ones (a quadrangle's
+        # diagonal points are), and dually for four lines
+        if sets[s].bit_count() > 3:
+            return None
+    for s in (POINT, LINE):
+        if any((on[c] & sets[1 - s]).bit_count() > 2 for c in _bits(sets[s])):
+            return None
+    return tuple(sets)
+
+
 class _Searcher:
     """One backtracking search with forward checking over point and line
     variables.
@@ -135,21 +154,37 @@ class _Searcher:
     point 0 misses line 0 (the counterexample phase) as one more -1 cell.
 
     Symmetry breaking.  Every constraint is an incidence or a
-    non-incidence, so PGL(3, q) maps solutions to solutions, and a branch
-    point need only scan the lowest value of each orbit, inside its
-    domain, of the group fixing the values already assigned.  At the
-    first branch point (pos 0) nothing is assigned and the group is
-    transitive on points and on lines: one value.  At the second (pos 1)
-    only the first variable holds a value v; one value cannot force
-    another, because narrowing leaves q + 1 or q^2 values, so the domain
-    is full or v's +1 or -1 mask.  The stabilizer of v has two orbits on
-    each side: {v} and the rest on v's own side, the values incident with
-    v and the rest on the other; the domain is a union of them, so at
-    most two values.  The lowest solution in the search order survives:
-    were its value at either branch point not the lowest of its orbit, a
-    collineation fixing the earlier value would map it to a solution
-    that is lower still.  So every verdict and every counterexample is
-    that of the unbroken search.
+    non-incidence, so PGL(3, q) maps solutions to solutions.  At a branch
+    point, let S be the values chosen at the branch points above it on
+    the current path and G the group fixing each of them.  G also fixes
+    the closure of S, which adds the join of every two points and the
+    meet of every two lines until nothing changes; a closure is a pair of
+    bitmasks (points, lines).  While the closure has no three collinear
+    points and no three concurrent lines it is at most a triangle: empty,
+    a point or a line, a flag or an antiflag, two points and their join
+    or two lines and their meet, one of those with a line through one of
+    the points (or a point on one of the lines), or a triangle.  For each
+    of these the orbits of G on one side are the cells: each closure
+    element of that side by itself, and the other values split by
+    incidence with each closure element of the other side.  (G keeps
+    equality and incidence, so an orbit never spans two cells; that no
+    cell holds two orbits is checked against the whole group for q <= 4
+    in the tests.)  The branch point scans the lowest value of each cell
+    inside its domain.  With nothing chosen that is one value; after one
+    value v it is at most two, {v} and the rest on v's side or the values
+    on v and the rest on the other.  Three collinear points split a cell
+    by cross-ratio, so once the closure has them, or three concurrent
+    lines, the closure is None and this branch point and every one below
+    it on the path scan their whole domain.
+
+    The lowest solution in the search order survives.  Were its value x
+    at some branch point not the lowest of its cell inside the domain,
+    the lowest y < x would lie in the same orbit of G, and some g in G
+    with g(x) = y maps the solution to one with the same values at the
+    branch points above, the same values at every variable narrowing
+    fixed (those are the only values the branch values above allow) and
+    y here: a lower solution.  So every verdict and every counterexample
+    is that of the unbroken search.
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
@@ -198,22 +233,28 @@ class _Searcher:
                     fixed.append((1 - side, y))
         return True
 
-    def _orbit_representatives(self, pos: int, side: int, domain: int) -> int:
-        """The lowest value of each orbit of the group fixing the values
-        assigned so far, inside the domain of the first (pos 0) or second
-        (pos 1) branch point; see the class docstring."""
-        if pos == 0:
-            return domain & -domain
-        first_side, first_x = self.order[0]
-        v = self.dom[first_side][first_x].bit_length() - 1
-        orbit = 1 << v if side == first_side else self.tables.on[v]
-        inside, outside = domain & orbit, domain & ~orbit
-        return (inside & -inside) | (outside & -outside)
+    def _orbit_representatives(self, closure, side: int, domain: int) -> int:
+        """The lowest value in the domain of each cell of the closure on
+        this side, or the whole domain when the closure is None; see the
+        class docstring."""
+        if closure is None:
+            return domain
+        on = self.tables.on
+        same = closure[side]
+        cells = [domain & ~same]
+        for c in _bits(closure[1 - side]):
+            cells = [part for cell in cells for part in (cell & on[c], cell & ~on[c]) if part]
+        reps = domain & same
+        for cell in cells:
+            reps |= cell & -cell
+        return reps
 
     def run(self) -> Configuration | None:
-        return self._solve(0)
+        return self._solve(0, (0, 0))  # nothing chosen: the empty closure
 
-    def _solve(self, pos: int) -> Configuration | None:
+    def _solve(self, pos: int, closure) -> Configuration | None:
+        """The first solution below this point, if any; closure is that of
+        the values chosen at the branch points above, or None."""
         while pos < len(self.order):
             side, x = self.order[pos]
             doms = self.dom[side]
@@ -221,8 +262,7 @@ class _Searcher:
             if not domain & (domain - 1):  # one value: already fixed
                 pos += 1
                 continue
-            if pos < 2:
-                domain = self._orbit_representatives(pos, side, domain)
+            domain = self._orbit_representatives(closure, side, domain)
             while domain:
                 bit = domain & -domain  # lowest index first
                 domain ^= bit
@@ -232,7 +272,10 @@ class _Searcher:
                 trail = [(doms, x, doms[x])]
                 doms[x] = bit
                 if self._narrow(side, x, trail):
-                    found = self._solve(pos + 1)
+                    below = None if closure is None else _extended_closure(
+                        self.q, closure, side, bit.bit_length() - 1
+                    )
+                    found = self._solve(pos + 1, below)
                     if found is not None:
                         return found
                 for d, y, old in reversed(trail):
@@ -256,8 +299,10 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
         if mat.entry(1, 1) != 1:  # a +1 conclusion can never be violated
             counterexample = _Searcher(mat, q, True, stats, node_budget).run()
         if counterexample is not None:
-            assert verify_configuration(mat, counterexample)
-            assert not incident(field(q), counterexample.points[0], counterexample.lines[0])
+            if not verify_configuration(mat, counterexample) or incident(
+                field(q), counterexample.points[0], counterexample.lines[0]
+            ):
+                raise AssertionError("the search returned no counterexample")
             return Verdict("counterexample", counterexample, stats)
         witness = _Searcher(mat, q, False, stats, node_budget).run()
         if witness is None:
@@ -265,141 +310,3 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
         return Verdict("true", None, stats)
     except _Budget:
         return Verdict("resource_exceeded", None, stats)
-
-
-# -- realizing counterexamples from multiplicative edge labelings ----------
-
-
-def _generator(F):
-    """A multiplicative generator of the field's nonzero elements."""
-    for g in range(1, F.q):
-        x, order = g, 1
-        while x != 1:
-            x = F.mul(x, g)
-            order += 1
-        if order == F.q - 1:
-            return g
-    raise AssertionError("the multiplicative group of a finite field is cyclic")
-
-
-def _pow(F, g: int, e: int) -> int:
-    acc = 1
-    for _ in range(e):
-        acc = F.mul(acc, g)
-    return acc
-
-
-def multiplicative_cochain(u, q: int) -> tuple[int, ...]:
-    """Map an additive mod-n edge labeling into the nonzero elements of
-    the field of order q through a fixed generator; needs n | q - 1."""
-    F = field(q)
-    if (q - 1) % u.modulus:
-        raise ValueError(f"Z/{u.modulus} does not embed in a group of order {q - 1}")
-    g = _generator(F)
-    step = (q - 1) // u.modulus
-    return tuple(_pow(F, g, (v % u.modulus) * step) for v in u.values)
-
-
-def _edge_point(F, A, B, k):
-    """The point on line AB dividing it at ratio k; ratio 1 names the
-    improper point of the line."""
-    if k == 1:
-        return meet(F, join(F, A, B), DEFAULT_CHART)
-    return point_at_ratio(F, A, B, k)
-
-
-def realize_from_cochain(mc, values, q: int):
-    """Build a configuration with the marked complex's generated matrix
-    from nonzero field elements on the edges whose product around every
-    non-marked face is 1: vertex points with no three collinear, edge
-    lines as joins, edge points at the given ratios, face lines through
-    the resulting collinear triples, and the conclusion line through two
-    of the marked face's edge points.  When the product around the marked
-    face differs from 1, any returned configuration refutes the theorem's
-    conclusion.  Returns None when no suitable placement exists over this
-    field order.
-    """
-    from .surfaces import generate_theorem
-
-    if q not in SUPPORTED_ORDERS:
-        raise UnsupportedField(f"no projective plane of order {q} is supported")
-    F = field(q)
-    K, lab = mc.complex, mc.labeling
-    mat = generate_theorem(mc)
-    values = tuple(int(v) for v in values)
-    if len(values) != len(K.edges):
-        raise ValueError("need one field element per edge")
-    if any(not 1 <= v < q for v in values):
-        raise ValueError("edge values must be nonzero field elements")
-    for f, walk in enumerate(K.faces):
-        if f == mc.marked:
-            continue
-        acc = 1
-        for e, d in walk:
-            acc = F.mul(acc, values[e] if d == 1 else F.inv(values[e]))
-        if acc != 1:
-            raise CochainViolatesF(f)
-    if any(t == h for t, h in K.edges):
-        raise PlacementFailed("an edge joins a vertex to itself")
-    if len(set(K.face_edges(mc.marked))) != 3:
-        raise PlacementFailed("marked face must have three distinct edges")
-
-    # proper points only: every vertex must live in the affine chart
-    candidates = [p for p in all_points(F) if p[2] != 0]
-    nv = K.vertex_count
-    if len(candidates) < nv:
-        raise PlacementFailed(f"only {len(candidates)} affine points over q={q}")
-
-    placed: list[tuple[int, int, int]] = []
-
-    def general_position(cand) -> bool:
-        for a in range(len(placed)):
-            if placed[a] == cand:
-                return False
-            for b in range(a + 1, len(placed)):
-                if dot(F, cand, join(F, placed[a], placed[b])) == 0:
-                    return False
-        return True
-
-    def build():
-        points = [None] * mat.m
-        lines = [None] * mat.n
-        edge_pts = []
-        for v in range(nv):
-            points[lab.p_vertex[v] - 1] = placed[v]
-        for e, (t, h) in enumerate(K.edges):
-            line = join(F, placed[t], placed[h])
-            X = _edge_point(F, placed[t], placed[h], values[e])
-            lines[lab.l_edge[e] - 1] = line
-            points[lab.p_edge[e] - 1] = X
-            edge_pts.append(X)
-        zero_edge = mc.zero_pair()[0]
-        for f in range(len(K.faces)):
-            es = K.face_edges(f)
-            if f == mc.marked:
-                a, b = (e for e in set(es) if e != zero_edge)
-            else:
-                a, b = es[0], es[1]
-            L = join(F, edge_pts[a], edge_pts[b])
-            if L is None:
-                return None
-            if f != mc.marked and dot(F, edge_pts[es[2]], L) != 0:
-                return None  # product-1 relation should force collinearity
-            lines[lab.l_face[f] - 1] = L
-        config = Configuration(q, tuple(points), tuple(lines))
-        return config if verify_configuration(mat, config) else None
-
-    def search(depth: int):
-        if depth == nv:
-            return build()
-        for cand in candidates:
-            if not general_position(cand):
-                continue
-            placed.append(cand)
-            found = search(depth + 1)
-            if found is not None:
-                return found
-            placed.pop()
-        return None
-
-    return search(0)

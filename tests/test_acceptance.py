@@ -59,12 +59,8 @@ from tilingcalc.noncomm import (
     random_disc,
 )
 from tilingcalc.plane import affine_point, incident, join, meet
-from tilingcalc.search import (
-    check_theorem,
-    multiplicative_cochain,
-    realize_from_cochain,
-    verify_configuration,
-)
+from tilingcalc.realize import multiplicative_cochain, realize_from_cochain
+from tilingcalc.search import check_theorem, verify_configuration
 from tilingcalc.surfaces import generate_theorem, octahedral_subdivide
 from tilingcalc.ternary import propagate
 

@@ -9,14 +9,8 @@ from tilingcalc.complexes import (
 from tilingcalc.excision import failing_cochain
 from tilingcalc.fields import field
 from tilingcalc.plane import DEFAULT_CHART, dot, incident
-from tilingcalc.search import (
-    CochainViolatesF,
-    UnsupportedField,
-    check_theorem,
-    multiplicative_cochain,
-    realize_from_cochain,
-    verify_configuration,
-)
+from tilingcalc.realize import CochainViolatesF, multiplicative_cochain, realize_from_cochain
+from tilingcalc.search import UnsupportedField, check_theorem, verify_configuration
 from tilingcalc.surfaces import generate_theorem
 
 

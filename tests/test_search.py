@@ -1,8 +1,14 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tilingcalc
 from tilingcalc.catalog import (
     fano_closure_matrix,
     hexagon_closure_matrix,
@@ -21,9 +27,14 @@ from tilingcalc.plane import (
     incident,
     join,
     meet,
+    normalize,
 )
 from tilingcalc.search import (
+    LINE,
+    POINT,
+    SearchStats,
     UnsupportedField,
+    _extended_closure,
     _Searcher,
     check_theorem,
     verify_configuration,
@@ -150,12 +161,35 @@ class TestSoundnessAndStats:
         assert set(obj["stats"]) == {"nodesExpanded", "propagationsForced"}
         assert Configuration.from_json_obj(obj["counterexample"]) == v.counterexample
 
+    def test_self_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the check of the search's own
+        # counterexample must still raise there
+        code = "\n".join([
+            "from tilingcalc import search",
+            "from tilingcalc.catalog import line_count_matrix",
+            "from tilingcalc.plane import Configuration",
+            "bad = Configuration(3, ((0, 0, 1),) * 3, ((0, 0, 1),) * 4)",
+            "search._Searcher.run = lambda self: bad",
+            "try:",
+            "    search.check_theorem(line_count_matrix(2), 3)",
+            "except AssertionError:",
+            "    raise SystemExit(0)",
+            "raise SystemExit(1)",
+        ])
+        src = str(Path(tilingcalc.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert done.returncode == 0
+
     def test_unsupported_field(self):
         with pytest.raises(UnsupportedField):
             check_theorem(warmup_matrix(), 6)
 
     def test_resource_exceeded(self):
-        v = check_theorem(fano_closure_matrix(), 5, node_budget=100)
+        # Desargues over order 9 takes far more than 100 nodes
+        v = check_theorem(generate_theorem(desargues_tetrahedron()), 9, node_budget=100)
         assert v.outcome == "resource_exceeded"
         assert v.counterexample is None
 
@@ -314,6 +348,15 @@ class TestForwardChecking:
             pytest.param(fano_closure_matrix, 9, id="fano-9"),
             pytest.param(warmup_matrix, 8, id="warm-up-8"),
             pytest.param(warmup_matrix, 9, id="warm-up-9"),
+            # these need the symmetry breaking at every branch point while
+            # the chosen values span at most a triangle; Pappus and
+            # Desargues hold over every field
+            pytest.param(pappus_base_matrix, 7, id="pappus-7"),
+            pytest.param(pappus_base_matrix, 8, id="pappus-8"),
+            pytest.param(pappus_base_matrix, 9, id="pappus-9"),
+            pytest.param(
+                lambda: generate_theorem(desargues_tetrahedron()), 5, id="desargues-5"
+            ),
         ],
     )
     def test_decided_within_benchmark_budget(self, build, q):
@@ -322,8 +365,8 @@ class TestForwardChecking:
 
 class TestSymmetryBreaking:
     def test_agrees_with_unbroken_search(self, monkeypatch):
-        # scanning every value at the first two branch points is the plain
-        # search; the cut must keep its outcome and its first counterexample
+        # scanning every value at every branch point is the plain search;
+        # the cut must keep its outcome and its first counterexample
         rng = random.Random(909)
         cases = []
         for _ in range(300):
@@ -333,7 +376,7 @@ class TestSymmetryBreaking:
             cases.append((IncidenceMatrix(rows), q))
         pruned = [check_theorem(mat, q) for mat, q in cases]
         monkeypatch.setattr(
-            _Searcher, "_orbit_representatives", lambda self, pos, side, domain: domain
+            _Searcher, "_orbit_representatives", lambda self, closure, side, domain: domain
         )
         plain = [check_theorem(mat, q) for mat, q in cases]
         for (mat, q), a, b in zip(cases, pruned, plain):
@@ -342,3 +385,117 @@ class TestSymmetryBreaking:
         assert sum(v.stats.nodes_expanded for v in pruned) < sum(
             v.stats.nodes_expanded for v in plain
         )
+
+
+@functools.lru_cache(maxsize=None)
+def collineation_group(q: int):
+    """PGL(3, q) as permutations of the canonical point list, closed by
+    breadth-first search from the transvections I + E_ij and diag(w, 1, 1)
+    for a primitive element w, which generate GL(3, q); the group order is
+    checked.  Built from fields and plane alone."""
+    F = field(q)
+    pts = all_points(F)
+    index = {p: i for i, p in enumerate(pts)}
+
+    def permutation(M):
+        def image(p):
+            return tuple(
+                F.add(F.add(F.mul(r[0], p[0]), F.mul(r[1], p[1])), F.mul(r[2], p[2]))
+                for r in M
+            )
+        return tuple(index[normalize(F, image(p))] for p in pts)
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, F.mul(x, a)
+        return k
+
+    w = next(a for a in range(1, q) if order(a) == q - 1)
+    gens = [permutation([[w, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    for i, j in itertools.permutations(range(3), 2):
+        M = [[int(a == b) for b in range(3)] for a in range(3)]
+        M[i][j] = 1
+        gens.append(permutation(M))
+    group = {tuple(range(len(pts)))}
+    frontier = list(group)
+    while frontier:
+        new = {tuple(map(g.__getitem__, h)) for g in frontier for h in gens} - group
+        group |= new
+        frontier = list(new)
+    assert len(group) == q**3 * (q**3 - 1) * (q**2 - 1)
+    # each line through two of its points, and the index of every join
+    through = [[i for i, p in enumerate(pts) if incident(F, p, l)][:2] for l in pts]
+    joins = [[index.get(join(F, a, b)) for b in pts] for a in pts]
+    return list(group), through, joins
+
+
+def stabilizer_orbits(q: int, fixed) -> list:
+    """The orbits on points and on lines of the collineations fixing each
+    (side, index) value in fixed."""
+    group, through, joins = collineation_group(q)
+    stab = group
+    for side, v in fixed:
+        if side == POINT:
+            stab = [g for g in stab if g[v] == v]
+        else:
+            a, b = through[v]
+            stab = [g for g in stab if joins[g[a]][g[b]] == v]
+    images = (
+        lambda x: {g[x] for g in stab},
+        lambda x: {joins[g[through[x][0]]][g[through[x][1]]] for g in stab},
+    )
+    out = []
+    for image in images:
+        orbits, seen = [], set()
+        for x in range(len(through)):
+            if x not in seen:
+                orbits.append(frozenset(image(x)))
+                seen |= orbits[-1]
+        out.append(orbits)
+    return out
+
+
+class TestOrbitOracle:
+    """Wherever the search accepts the closure of the chosen values, its
+    cells on each side are the orbits of the group fixing those values."""
+
+    def accepted_cells_are_orbits(self, q, values) -> bool:
+        closure = (0, 0)
+        for side, v in values:
+            closure = _extended_closure(q, closure, side, v)
+            if closure is None:
+                return False
+        searcher = _Searcher(IncidenceMatrix([[0]]), q, False, SearchStats(), 0)
+        n = q * q + q + 1
+        for side, orbits in zip((POINT, LINE), stabilizer_orbits(q, frozenset(values))):
+            # every orbit lies in one cell, and there are as many cells
+            reps = searcher._orbit_representatives(closure, side, (1 << n) - 1)
+            assert bin(reps).count("1") == len(orbits), (values, side)
+            for orbit in orbits:
+                rep = searcher._orbit_representatives(closure, side, sum(1 << x for x in orbit))
+                assert rep & (rep - 1) == 0, (values, side, sorted(orbit))
+        return True
+
+    def test_every_short_sequence_over_order_2(self):
+        values = [(side, v) for side in (POINT, LINE) for v in range(7)]
+        accepted = sum(
+            self.accepted_cells_are_orbits(2, seq)
+            for k in (1, 2, 3)
+            for seq in itertools.product(values, repeat=k)
+        )
+        assert accepted > 1000
+
+    @pytest.mark.parametrize("q,samples", [(3, 150), (4, 150)])
+    def test_random_sequences(self, q, samples):
+        # at q = 4 three collinear points leave two values of their line
+        # in one cell but in two orbits (a cross-ratio), which the closure
+        # must reject; at q <= 3 that line has no two such values
+        rng = random.Random(q)
+        n = q * q + q + 1
+        accepted = 0
+        for _ in range(samples):
+            k = rng.randint(1, 4)
+            seq = [(rng.choice((POINT, LINE)), rng.randrange(n)) for _ in range(k)]
+            accepted += self.accepted_cells_are_orbits(q, seq)
+        assert accepted > samples // 3
