@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .surfaces import DeltaComplex, FaceNotFound
+from .ternary import JsonText
 
 
 class TooLarge(ValueError):
@@ -28,7 +28,7 @@ FULL = "full"
 
 
 @dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(JsonText):
     """Abelian model of a multiplicative group: whether it has an
     element of infinite order, and its torsion (a list of cyclic orders,
     or "full" for all roots of unity)."""
@@ -74,9 +74,6 @@ class GroupSpec:
         t = self.torsion if self.torsion == FULL else list(self.torsion)
         return {"infinite": self.infinite, "torsion": t}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GroupSpec":
         infinite, t = obj["infinite"], obj["torsion"]
@@ -85,10 +82,6 @@ class GroupSpec:
         if t != FULL and not (isinstance(t, list) and all(type(m) is int for m in t)):
             raise ValueError(f'torsion {t!r} is not "full" or a list of integers')
         return cls(infinite, t if t == FULL else tuple(t))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupSpec":
-        return cls.from_json_obj(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ group, which is exactly what makes every face of the result excisable.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -97,9 +96,6 @@ class Grope:
         obj = self.complex.to_json_obj()
         obj["gluings"] = [{"face": f + 1, "k": k} for f, k in self.gluings]
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Grope":

@@ -13,13 +13,13 @@ right scalar).  Affine points are pairs (x, y), embedded as (x, y, 1).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plane import NotCollinear
+from .plane import NotCollinear, check_sizes
 from .surfaces import DeltaComplex, cycle_order, edge_uses, orient, rim_word
+from .ternary import JsonText
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -42,7 +42,7 @@ class Commuting(ValueError):
 
 
 @dataclass(frozen=True)
-class Quaternion:
+class Quaternion(JsonText):
     """a + b·i + c·j + d·k with exact rational components."""
 
     a: Fraction
@@ -121,16 +121,9 @@ class Quaternion:
     def to_json_obj(self) -> list[str]:
         return [str(v) for v in (self.a, self.b, self.c, self.d)]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj) -> "Quaternion":
         return cls(*(Fraction(v) for v in obj))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quaternion":
-        return cls.from_json_obj(json.loads(text))
 
 
 _ZERO = Quaternion.zero()
@@ -245,9 +238,6 @@ class SkewConfiguration:
             "lines": [[q.to_json_obj() for q in l] for l in self.lines],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj) -> "SkewConfiguration":
         return cls(
@@ -258,6 +248,7 @@ class SkewConfiguration:
 
 def verify_skew_configuration(mat, config: SkewConfiguration) -> bool:
     """True iff every +1 cell is an incidence and every -1 cell is not."""
+    check_sizes(mat, config)
     rows = mat.rows()
     for i in range(mat.m):
         for j in range(mat.n):
@@ -375,7 +366,7 @@ def _walk_path(K: DeltaComplex, walk, start: int, goal: int, banned: set[int]):
     raise NotADisc("face does not bridge the removed boundary segment")
 
 
-def evaluate_boundary(D: TriangulatedDisc, values, one: Quaternion | None = None):
+def evaluate_boundary(D: TriangulatedDisc, values):
     """The product of the edge values along the boundary cycle, computed
     twice: directly, and by shelling the disc one free face at a time
     (each removal replaces a boundary run by the complementary path
@@ -387,23 +378,21 @@ def evaluate_boundary(D: TriangulatedDisc, values, one: Quaternion | None = None
     reversed traversal contributes the inverse.
     """
     K = D.complex
-    if one is None:
-        one = _ONE
 
     def of(de):
         e, d = de
         return values[e] if d == 1 else values[e].inverse()
 
     for f, walk in enumerate(K.faces):
-        acc = one
+        acc = _ONE
         for de in walk:
             acc = acc * of(de)
-        if acc != one:
+        if acc != _ONE:
             raise FlatnessViolated(f)
 
     # direct product along the declared boundary
     word = rim_word(K, edge_uses(K), D.boundary)
-    direct = one
+    direct = _ONE
     for de in word:
         direct = direct * of(de)
 
@@ -429,7 +418,7 @@ def evaluate_boundary(D: TriangulatedDisc, values, one: Quaternion | None = None
         after = [word[t] for t in range(cut, n) if t not in set(run)]
         word = before + replacement + after
         assert len(keep) + len(replacement) == len(word)
-    shelled = one
+    shelled = _ONE
     for de in word:
         shelled = shelled * of(de)
     assert shelled == direct, "shelling changed the boundary transport"

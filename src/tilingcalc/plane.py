@@ -8,11 +8,11 @@ z = 0 at infinity: affine (x, y) embeds as the triple (x, y, 1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import GF, field
+from .ternary import JsonText
 
 INFINITY = "infinity"
 
@@ -27,6 +27,16 @@ class DegenerateChart(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def check_sizes(mat, config) -> None:
+    """Raise DimensionMismatch unless the configuration has one point per
+    row and one line per column of the incidence matrix."""
+    if len(config.points) != mat.m or len(config.lines) != mat.n:
+        raise DimensionMismatch(
+            f"matrix {mat.m}x{mat.n} vs {len(config.points)} points, "
+            f"{len(config.lines)} lines"
+        )
 
 
 def normalize(F: GF, triple) -> tuple[int, int, int]:
@@ -177,7 +187,7 @@ def point_at_ratio(F: GF, A, B, k, chart=DEFAULT_CHART):
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(JsonText):
     """Concrete points and lines over one field order."""
 
     q: int
@@ -196,9 +206,6 @@ class Configuration:
             "lines": [list(l) for l in self.lines],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj) -> "Configuration":
         q, points, lines = obj["q"], obj["points"], obj["lines"]
@@ -207,7 +214,3 @@ class Configuration:
             if type(v) is not int:  # not a float, and not a bool
                 raise ValueError(f"q and coordinates must be integers, not {v!r}")
         return cls(q, tuple(map(tuple, points)), tuple(map(tuple, lines)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Configuration":
-        return cls.from_json_obj(json.loads(text))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .fields import SUPPORTED_ORDERS, field
-from .plane import Configuration, DimensionMismatch, all_points, dot, incident
+from .plane import Configuration, all_points, check_sizes, dot, incident
 from .ternary import IncidenceMatrix
 
 
@@ -60,11 +60,7 @@ class Verdict:
 
 def verify_configuration(mat: IncidenceMatrix, config: Configuration) -> bool:
     """True iff every +1 cell is an incidence and every -1 cell is not."""
-    if len(config.points) != mat.m or len(config.lines) != mat.n:
-        raise DimensionMismatch(
-            f"matrix {mat.m}x{mat.n} vs {len(config.points)} points, "
-            f"{len(config.lines)} lines"
-        )
+    check_sizes(mat, config)
     F = field(config.q)
     for i in range(mat.m):
         for j in range(mat.n):

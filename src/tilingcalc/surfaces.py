@@ -10,10 +10,9 @@ theorem whose matrix is forced on all cells touched by the complex.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
-from .ternary import IncidenceMatrix
+from .ternary import IncidenceMatrix, JsonText
 
 
 class BadComplex(ValueError):
@@ -324,7 +323,7 @@ def _zero_pairs(K: DeltaComplex, lab: Labeling) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class MarkedComplex:
+class MarkedComplex(JsonText):
     complex: DeltaComplex
     labeling: Labeling
     marked: int
@@ -363,9 +362,6 @@ class MarkedComplex:
         obj["marked"] = self.marked + 1
         return obj
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MarkedComplex":
         K = DeltaComplex.from_json_obj(obj)
@@ -382,10 +378,6 @@ class MarkedComplex:
         if not 1 <= marked <= len(K.faces):
             raise BadComplex(f"marked face {marked} is not in 1..{len(K.faces)}")
         return cls(K, Labeling(*labels), marked - 1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarkedComplex":
-        return cls.from_json_obj(json.loads(text))
 
 
 # -- incidence-pair enumeration -------------------------------------------

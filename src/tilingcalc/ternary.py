@@ -37,7 +37,21 @@ class PatternWitness:
     cols: tuple[int, int, int]
 
 
-class IncidenceMatrix:
+class JsonText:
+    """JSON text round trip for a class with ``to_json_obj`` and
+    ``from_json_obj``."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj())
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_obj(json.loads(text))
+
+
+class IncidenceMatrix(JsonText):
     """Immutable m x n grid over {-1, 0, +1}."""
 
     __slots__ = ("m", "n", "_rows")
@@ -105,19 +119,16 @@ class IncidenceMatrix:
     def to_json_obj(self) -> dict:
         return {"m": self.m, "n": self.n, "entries": [list(r) for r in self._rows]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "IncidenceMatrix":
         mat = cls(obj["entries"])
-        if mat.m != obj.get("m", mat.m) or mat.n != obj.get("n", mat.n):
-            raise ValueError("declared dimensions disagree with entries")
+        for key, size in (("m", mat.m), ("n", mat.n)):
+            declared = obj.get(key, size)
+            if type(declared) is not int:  # not a float, and not a bool
+                raise ValueError(f"declared {key} {declared!r} is not an integer")
+            if declared != size:
+                raise ValueError("declared dimensions disagree with entries")
         return mat
-
-    @classmethod
-    def from_json(cls, text: str) -> "IncidenceMatrix":
-        return cls.from_json_obj(json.loads(text))
 
 
 # The forbidden 3x3 submatrix, up to independent row and column

@@ -336,6 +336,15 @@ class TestPappusCounterexample:
             mat.with_entry(1, 1, 1), cfg
         )
 
+    def test_verify_rejects_size_mismatch(self):
+        from tilingcalc.plane import DimensionMismatch
+        from tilingcalc.ternary import IncidenceMatrix
+
+        cfg = pappus_counterexample(I, J)  # 12 points, 9 lines
+        for mat in (IncidenceMatrix([[0]]), IncidenceMatrix([[0] * 10] * 13)):
+            with pytest.raises(DimensionMismatch):
+                verify_skew_configuration(mat, cfg)
+
     def test_json_round_trip(self):
         cfg = pappus_counterexample(I, J)
         assert SkewConfiguration.from_json_obj(cfg.to_json_obj()) == cfg

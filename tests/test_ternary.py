@@ -421,3 +421,7 @@ class TestSerialization:
             IncidenceMatrix([[1, bad]])
         with pytest.raises(ValueError):
             IncidenceMatrix.from_json('{"entries": [[1, %s]]}' % json.dumps(bad))
+        # declared dimensions are integers too: 1.0 and true equal 1 in Python
+        for obj in ({"m": bad, "entries": [[1, 0]]}, {"n": bad, "entries": [[1], [0]]}):
+            with pytest.raises(ValueError):
+                IncidenceMatrix.from_json(json.dumps(obj))
