@@ -12,18 +12,20 @@ Exit 2 is decided in two places only: ``_load`` turns any fault in an
 input file (unreadable, not JSON, nested too deep, or content its type
 rejects) into a ``UsageError`` naming the file, and ``main`` turns any
 ``ValueError``, ``KeyError``, ``TypeError`` or ``IndexError`` that
-escapes a subcommand into one ``error:`` line.
+escapes a subcommand into one ``error:`` line, and a stdout closed by its
+reader (``BrokenPipeError``) into exit 2 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import random
 import re
 import sys
-from importlib import metadata
 from pathlib import Path
 
 from .excision import GroupSpec, failing_cochain
@@ -31,10 +33,16 @@ from .plane import Configuration
 from .surfaces import MarkedComplex, generate_theorem, octahedral_subdivide
 from .ternary import IncidenceMatrix, SeedConflict, propagate
 
-try:
-    TOOL_VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "unknown"
+@functools.cache
+def _tool_version() -> str:
+    # importlib.metadata pulls in email, zipfile and csv: load it only
+    # when a report is written
+    from importlib import metadata
+
+    try:
+        return metadata.version("artifact")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        return "unknown"
 
 
 class UsageError(ValueError):
@@ -68,7 +76,7 @@ def _digest(path: str) -> str:
 def _report(args, inputs: list[str], **body) -> dict:
     return {
         "command": args.command,
-        "version": TOOL_VERSION,
+        "version": _tool_version(),
         "inputs": {p: _digest(p) for p in inputs},
         **body,
     }
@@ -433,9 +441,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except (ValueError, KeyError, TypeError, IndexError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader went away: send what is left to devnull so the
+        # flush at exit cannot fail again, and report no verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -12,8 +12,8 @@ forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
 scanned lowest index first.  Pruning drops subtrees without solutions
 and subtrees that a collineation fixing the values chosen above maps onto
 an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996); the latter
-applies at every branch point while those values span at most a
-triangle, so the counterexample found is still the first one in that
+applies at every branch point until the elements those values fix hold a
+quadrangle, so the counterexample found is still the first one in that
 order.  SearchStats counts the values tried at branch points
 (nodesExpanded) and the values forced because a domain narrowed to one
 (propagationsForced).
@@ -111,9 +111,9 @@ def _bits(mask: int):
 @lru_cache(maxsize=4096)
 def _extended_closure(q: int, closure: tuple[int, int], side: int, x: int):
     """The closure (points, lines) over the plane of order q with value x
-    added on the given side, or None when it has three collinear points
-    or three concurrent lines; see _Searcher.  Memoised, since a search
-    meets the same few closures at many branch points."""
+    added on the given side, or None when it holds a quadrangle; see
+    _Searcher.  Memoised, since a search meets the same few closures at
+    many branch points."""
     if closure[side] >> x & 1:
         return closure
     on = _plane_tables(q).on
@@ -121,17 +121,26 @@ def _extended_closure(q: int, closure: tuple[int, int], side: int, x: int):
     new = [(side, x)]
     while new:
         s, v = new.pop()
-        if sets[s] >> v & 1:
-            continue
-        new.extend((1 - s, (on[v] & on[w]).bit_length() - 1) for w in _bits(sets[s]))
-        sets[s] |= 1 << v
-        # four points close to three collinear ones (a quadrangle's
-        # diagonal points are), and dually for four lines
-        if sets[s].bit_count() > 3:
-            return None
-    for s in (POINT, LINE):
-        if any((on[c] & sets[1 - s]).bit_count() > 2 for c in _bits(sets[s])):
-            return None
+        if not sets[s] >> v & 1:
+            new.extend((1 - s, (on[v] & on[w]).bit_length() - 1) for w in _bits(sets[s]))
+            sets[s] |= 1 << v
+            # a line and a point off it is the largest side without a
+            # quadrangle, and dually
+            if sets[s].bit_count() > q + 2:
+                return None
+        if not new:  # fill each element incident with three of the other side
+            new = [
+                (1 - t, w)
+                for t in (POINT, LINE)
+                for c in _bits(sets[t])
+                if (on[c] & sets[1 - t]).bit_count() > 2
+                for w in _bits(on[c] & ~sets[1 - t])
+            ]
+    points = sets[POINT]
+    k = points.bit_count()
+    # closed under joins: a line holding all points but one is in it
+    if k > 3 and all((on[c] & points).bit_count() < k - 1 for c in _bits(sets[LINE])):
+        return None
     return tuple(sets)
 
 
@@ -152,26 +161,38 @@ class _Searcher:
     Symmetry breaking.  Every constraint is an incidence or a
     non-incidence, so PGL(3, q) maps solutions to solutions.  At a branch
     point, let S be the values chosen at the branch points above it on
-    the current path and G the group fixing each of them.  G also fixes
-    the closure of S, which adds the join of every two points and the
-    meet of every two lines until nothing changes; a closure is a pair of
-    bitmasks (points, lines).  While the closure has no three collinear
-    points and no three concurrent lines it is at most a triangle: empty,
-    a point or a line, a flag or an antiflag, two points and their join
-    or two lines and their meet, one of those with a line through one of
-    the points (or a point on one of the lines), or a triangle.  For each
-    of these the orbits of G on one side are the cells: each closure
-    element of that side by itself, and the other values split by
-    incidence with each closure element of the other side.  (G keeps
+    the current path and G the group fixing each of them.  The closure T
+    of S is a pair of bitmasks (points, lines) of elements that G fixes:
+    it adds the join of every two points and the meet of every two lines,
+    every point of a line holding three of its points, and every line
+    through a point on three of its lines, until nothing changes.  (The
+    stabilizer of a line induces PGL(2, q) on it, which is sharply
+    3-transitive, so G fixes each point of such a line.)  Once T holds a
+    quadrangle G is trivial, and the closure is None: this branch point
+    and every one below it on the path scan their whole domain.  (Four
+    lines, no three concurrent, meet in a quadrangle, so the points
+    tell.)  T is closed under joins, so it holds a quadrangle exactly when
+    it has four points and no line of T holds all of them but one; a side
+    with more than q + 2 elements holds one.  Otherwise T is, up to
+    duality, one of:
+      - at most a triangle: empty, a point or a line, a flag or an
+        antiflag, two points and their join or two lines and their meet,
+        one of those with a line through one of the points (or a point on
+        one of the lines), or a triangle;
+      - every point of a line l, a point P off l and every line through P;
+        G is the group of homologies with centre P and axis l, of order
+        q - 1;
+      - every point of a line l with none, one or all of the lines through
+        one point A of l; G has order q^2(q - 1), q(q - 1) or q.
+    For each of these the orbits of G on one side are the cells: each
+    element of T on that side by itself, and the other values split by
+    incidence with each element of T on the other side.  (G keeps
     equality and incidence, so an orbit never spans two cells; that no
     cell holds two orbits is checked against the whole group for q <= 4
     in the tests.)  The branch point scans the lowest value of each cell
     inside its domain.  With nothing chosen that is one value; after one
     value v it is at most two, {v} and the rest on v's side or the values
-    on v and the rest on the other.  Three collinear points split a cell
-    by cross-ratio, so once the closure has them, or three concurrent
-    lines, the closure is None and this branch point and every one below
-    it on the path scan their whole domain.
+    on v and the rest on the other.
 
     The lowest solution in the search order survives.  Were its value x
     at some branch point not the lowest of its cell inside the domain,

@@ -34,7 +34,7 @@ from tilingcalc.excision import (
     failing_cochain,
     oracle_can_excise,
 )
-from tilingcalc.fields import field
+from tilingcalc.fields import SUPPORTED_ORDERS, field
 from tilingcalc.gropes import (
     fan_disc,
     grope_base,
@@ -278,3 +278,28 @@ def test_11_excisability_predicts_finite_field_verdicts_both_ways():
                 cfg = realize_from_cochain(mc, multiplicative_cochain(u, q), q)
                 assert cfg is not None and verify_configuration(mat, cfg)
                 assert not incident(field(q), cfg.points[0], cfg.lines[0])
+
+
+def test_12_field_spectrum_of_each_generated_complex_decides_the_search():
+    # over every supported order the tiling alone predicts the verdict:
+    # where its face excises over F_q* the theorem holds, and where it does
+    # not a failing cochain realizes a counterexample; the search at the
+    # benchmark's 12,000-node budget must reach the same verdict
+    for mc in (
+        desargues_tetrahedron(),
+        one_line_complex(),
+        bijective_pappus_torus(),
+        nine_gon_grope(),
+        non_grope_complex(),
+    ):
+        mat = generate_theorem(mc)
+        for q in SUPPORTED_ORDERS:
+            outcome = check_theorem(mat, q, node_budget=12_000).outcome
+            if can_excise(mc.complex, mc.marked, GroupSpec.finite_field(q)):
+                assert outcome == "true", (mat, q)
+                continue
+            u = failing_cochain(mc.complex, mc.marked, q - 1)
+            cfg = realize_from_cochain(mc, multiplicative_cochain(u, q), q)
+            assert cfg is not None and verify_configuration(mat, cfg), (mat, q)
+            assert not incident(field(q), cfg.points[0], cfg.lines[0])
+            assert outcome == "counterexample", (mat, q)

@@ -27,7 +27,7 @@ def fx(name):
     return str(FIXTURES / name)
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter, to see its real stderr."""
     src = str(Path(tilingcalc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -35,7 +35,7 @@ def run_module(*argv):
     )}
     return subprocess.run(
         [sys.executable, "-m", "tilingcalc.cli", *argv],
-        capture_output=True, text=True, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
     )
 
 
@@ -251,6 +251,10 @@ class TestExcise:
             '{"infinite": false, "torsion": "all"}',
             '{"infinite": false, "torsion": [0]}',
             pytest.param("[" * 100_000, id="nested-too-deep"),
+            # no field has these orders
+            "F6*",
+            "F6(X)*",
+            "F1000000*",
         ],
     )
     def test_malformed_group_spec_is_usage_error(self, spec):
@@ -428,6 +432,22 @@ class TestPlumbing:
         code, report = run(capsys, "selftest")
         assert code == 0
         assert report["ok"] is True and all(report["checks"].values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", fx("fano.json"), "--q", "2"),
+            ("grope", "random", "--seed", "1", "--ks", "3"),
+        ],
+    )
+    def test_closed_stdout_exits_2_without_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to the pipe fails
+        try:
+            proc = run_module(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, "")
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])

@@ -58,6 +58,29 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec(False, (0,))
 
+    def test_field_orders_are_prime_powers(self):
+        def is_prime_power(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            while q % p == 0:
+                q //= p
+            return q == 1
+
+        for q in range(2, 3000):
+            for model in (GroupSpec.finite_field, GroupSpec.rational_functions):
+                if is_prime_power(q):
+                    assert model(q).torsion == (q - 1,)
+                else:
+                    with pytest.raises(ValueError, match="not a prime power"):
+                        model(q)
+        for q in (65521 * 65537, 2**16 * 3, 10**6):
+            with pytest.raises(ValueError, match="not a prime power"):
+                GroupSpec.finite_field(q)
+        for q in (2**32 - 5, 2**31, 65521**2):  # 2**32 - 5 is the largest prime below 2**32
+            assert GroupSpec.finite_field(q).torsion == (q - 1,)
+        for q in (0, 1, 2**32):
+            with pytest.raises(ValueError, match="field order must be in"):
+                GroupSpec.finite_field(q)
+
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):

@@ -34,7 +34,9 @@ from tilingcalc.search import (
     POINT,
     SearchStats,
     UnsupportedField,
+    _bits,
     _extended_closure,
+    _plane_tables,
     _Searcher,
     check_theorem,
     verify_configuration,
@@ -460,12 +462,14 @@ class TestOrbitOracle:
     """Wherever the search accepts the closure of the chosen values, its
     cells on each side are the orbits of the group fixing those values."""
 
-    def accepted_cells_are_orbits(self, q, values) -> bool:
+    def accepted_closure(self, q, values):
+        """The closure of the values, checked against the orbits, or None
+        when the search gives up on it."""
         closure = (0, 0)
         for side, v in values:
             closure = _extended_closure(q, closure, side, v)
             if closure is None:
-                return False
+                return None
         searcher = _Searcher(IncidenceMatrix([[0]]), q, False, SearchStats(), 0)
         n = q * q + q + 1
         for side, orbits in zip((POINT, LINE), stabilizer_orbits(q, frozenset(values))):
@@ -475,12 +479,12 @@ class TestOrbitOracle:
             for orbit in orbits:
                 rep = searcher._orbit_representatives(closure, side, sum(1 << x for x in orbit))
                 assert rep & (rep - 1) == 0, (values, side, sorted(orbit))
-        return True
+        return closure
 
     def test_every_short_sequence_over_order_2(self):
         values = [(side, v) for side in (POINT, LINE) for v in range(7)]
         accepted = sum(
-            self.accepted_cells_are_orbits(2, seq)
+            self.accepted_closure(2, seq) is not None
             for k in (1, 2, 3)
             for seq in itertools.product(values, repeat=k)
         )
@@ -489,13 +493,35 @@ class TestOrbitOracle:
     @pytest.mark.parametrize("q,samples", [(3, 150), (4, 150)])
     def test_random_sequences(self, q, samples):
         # at q = 4 three collinear points leave two values of their line
-        # in one cell but in two orbits (a cross-ratio), which the closure
-        # must reject; at q <= 3 that line has no two such values
+        # in one cell but in two orbits (a cross-ratio) unless the closure
+        # takes in the whole line; at q <= 3 that line has no two such values
         rng = random.Random(q)
         n = q * q + q + 1
         accepted = 0
         for _ in range(samples):
             k = rng.randint(1, 4)
             seq = [(rng.choice((POINT, LINE)), rng.randrange(n)) for _ in range(k)]
-            accepted += self.accepted_cells_are_orbits(q, seq)
+            accepted += self.accepted_closure(q, seq) is not None
         assert accepted > samples // 3
+
+    @pytest.mark.parametrize("q,samples,filled", [(3, 200, 60), (4, 300, 90)])
+    def test_incident_sequences(self, q, samples, filled):
+        # each value is incident with an earlier one 70% of the time, so
+        # the closures often hold three collinear points or three
+        # concurrent lines, and then take in the whole line (or pencil)
+        on = _plane_tables(q).on
+        rng = random.Random(100 + q)
+        n = q * q + q + 1
+        accepted = 0
+        for _ in range(samples):
+            seq = [(rng.choice((POINT, LINE)), rng.randrange(n))]
+            for _ in range(rng.randint(3, 5)):
+                side, v = rng.choice(seq)
+                if rng.random() < 0.7:
+                    seq.append((1 - side, rng.choice(list(_bits(on[v])))))
+                else:
+                    seq.append((rng.choice((POINT, LINE)), rng.randrange(n)))
+            closure = self.accepted_closure(q, seq)
+            # more than three points or lines: a filled line or pencil
+            accepted += closure is not None and max(map(int.bit_count, closure)) > 3
+        assert accepted >= filled
