@@ -1,4 +1,5 @@
-"""Catalog of the standard incidence matrices used across the test corpus.
+"""Catalog of the standard incidence matrices used across the test corpus,
+and the documented counterexample to the closed 6-gon statement.
 
 Each constructor returns a fresh IncidenceMatrix.  Row/column conventions:
 row 1 and column 1 always hold the conclusion incidence.
@@ -6,6 +7,8 @@ row 1 and column 1 always hold the conclusion incidence.
 
 from __future__ import annotations
 
+from .fields import field
+from .plane import Configuration, affine_point, join, meet
 from .ternary import IncidenceMatrix
 
 
@@ -238,7 +241,14 @@ def hexagon_would_be_matrix() -> IncidenceMatrix:
     return m
 
 
-def hexagon_counterexample_points() -> list[tuple[int, int]]:
-    """Affine coordinates over the 3-element field refuting the closed
-    6-gon statement, in row order P1..P6 (Q = (2,0), R = (2,2))."""
-    return [(0, 0), (1, 0), (0, 1), (1, 2), (0, 2), (1, 1)]
+def hexagon_counterexample() -> Configuration:
+    """The refutation of the closed 6-gon statement over the 3-element
+    field, in the rows and columns of `hexagon_closure_matrix`: the
+    affine points P1..P6, Q = (2,0) and R = (2,2), then the conclusion
+    side S23, the carriers and the other five sides."""
+    F = field(3)
+    P = [affine_point(F, x, y) for x, y in ((0, 0), (1, 0), (0, 1), (1, 2), (0, 2), (1, 1))]
+    S12, S23, S34, S45, S56, S61 = (join(F, P[k], P[(k + 1) % 6]) for k in range(6))
+    K1, K2 = join(F, P[0], P[2]), join(F, P[1], P[3])
+    Q, R = meet(F, S12, S34), meet(F, S45, S61)
+    return Configuration(3, (*P, Q, R), (S23, K1, K2, S12, S34, S56, S45, S61))

@@ -184,14 +184,16 @@ def _cmd_excise(args) -> int:
         exponent = G.exponent()
         if exponent:
             moduli.append(exponent)
-        for n in moduli + list(range(2, 13)):
+        # a finite G holds Z/n only for n dividing its exponent
+        fallback = [n for n in range(2, 13) if G.infinite or not exponent or exponent % n == 0]
+        for n in dict.fromkeys(moduli + fallback):
             cyclic = GroupSpec(False, (n,))
             if cyclic != G and can_excise(K, face, cyclic):
                 continue  # excises mod n (always for n = 1); G itself was decided above
             try:
                 cochain = failing_cochain(K, face, n)
             except TooLarge:
-                break
+                continue  # a smaller modulus may still serve
             if cochain is not None:
                 witness = cochain.to_json_obj()
                 break
@@ -308,7 +310,7 @@ def _cmd_quat(args) -> int:
 def _cmd_selftest(args) -> int:
     from .catalog import (
         hexagon_closure_matrix,
-        hexagon_counterexample_points,
+        hexagon_counterexample,
         pappus_aux12_matrix,
         pappus_aux16_matrix,
         pappus_case1_golden,
@@ -320,7 +322,7 @@ def _cmd_selftest(args) -> int:
     from .complexes import desargues_tetrahedron
     from .excision import can_excise, oracle_can_excise
     from .fields import field
-    from .plane import affine_point, incident, join, meet
+    from .plane import incident
     from .search import check_theorem, verify_configuration
 
     checks: dict[str, bool] = {}
@@ -340,19 +342,10 @@ def _cmd_selftest(args) -> int:
     checks["warmup-true-2-3"] = all(
         check_theorem(warmup_matrix(), q).outcome == "true" for q in (2, 3)
     )
-    F = field(3)
-    pts = [affine_point(F, x, y) for x, y in hexagon_counterexample_points()]
-    side = lambda a, b: join(F, pts[a - 1], pts[b % 6])
-    s12, s23, s34 = side(1, 1), side(2, 2), side(3, 3)
-    s45, s56, s61 = side(4, 4), side(5, 5), side(6, 6)
-    k1, k2 = join(F, pts[0], pts[2]), join(F, pts[1], pts[3])
-    q_pt, r_pt = meet(F, s12, s34), meet(F, s45, s61)
-    config = Configuration(
-        3, (*pts, q_pt, r_pt), (s23, k1, k2, s12, s34, s56, s45, s61)
-    )
+    config = hexagon_counterexample()
     checks["6-gon-counterexample"] = verify_configuration(
         hexagon_closure_matrix(), config
-    ) and not incident(F, config.points[0], config.lines[0])
+    ) and not incident(field(3), config.points[0], config.lines[0])
     K = desargues_tetrahedron().complex
     checks["excision-agrees-with-oracle"] = all(
         can_excise(K, f, GroupSpec(False, (n,))) == oracle_can_excise(K, f, n)

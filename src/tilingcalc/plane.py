@@ -110,19 +110,19 @@ def affine_point(F: GF, x: int, y: int) -> tuple[int, int, int]:
     return normalize(F, (x, y, 1))
 
 
-def _chart_scale(F: GF, p, chart):
-    """Representative of p scaled so <p, chart> = 1; None if p on chart."""
+def _chart_scale(F: GF, p):
+    """Representative of p scaled so <p, DEFAULT_CHART> = 1; None if p is
+    on the chart line."""
     n = normalize(F, p)
-    d = dot(F, n, chart)
+    d = dot(F, n, DEFAULT_CHART)
     if d == 0:
         return None
     s = F.inv(d)
     return tuple(F.mul(s, v) for v in n)
 
 
-def menelaus_ratio(F: GF, A, B, X, chart=DEFAULT_CHART):
-    """The scalar k with A - X = k (B - X), computed in the affine chart
-    whose line at infinity is `chart`.
+def menelaus_ratio(F: GF, A, B, X):
+    """The scalar k with A - X = k (B - X), in the default affine chart.
 
     Returns INFINITY when X is improper (on the chart line).  A and B
     must be proper; the three points must be collinear.
@@ -131,11 +131,11 @@ def menelaus_ratio(F: GF, A, B, X, chart=DEFAULT_CHART):
     l_ab = join(F, A, B)
     if l_ab is not None and dot(F, X, l_ab) != 0:
         raise NotCollinear((A, B, X))
-    a = _chart_scale(F, A, chart)
-    b = _chart_scale(F, B, chart)
+    a = _chart_scale(F, A)
+    b = _chart_scale(F, B)
     if a is None or b is None:
         raise DegenerateChart("endpoint on the chart line")
-    x = _chart_scale(F, X, chart)
+    x = _chart_scale(F, X)
     if x is None:
         return INFINITY
     if B == X:
@@ -152,17 +152,11 @@ def menelaus_ratio(F: GF, A, B, X, chart=DEFAULT_CHART):
                 raise NotCollinear((A, B, X))
         elif nv != 0:
             raise NotCollinear((A, B, X))
-    if k is None:
-        # A - X and B - X both zero: A = B = X
-        k = 1
-    # consistency: num must equal k * den componentwise
-    for nv, dv in zip(num, den):
-        if nv != F.mul(k, dv):
-            raise NotCollinear((A, B, X))
-    return k
+    # k is None only when A - X and B - X are both zero: A = B = X
+    return 1 if k is None else k
 
 
-def point_at_ratio(F: GF, A, B, k, chart=DEFAULT_CHART):
+def point_at_ratio(F: GF, A, B, k):
     """Inverse of menelaus_ratio in X: the point X on line AB with
     A - X = k (B - X), or the improper point of AB for k = INFINITY."""
     A, B = normalize(F, A), normalize(F, B)
@@ -170,12 +164,12 @@ def point_at_ratio(F: GF, A, B, k, chart=DEFAULT_CHART):
     if line is None:
         raise ValueError("A = B does not span a line")
     if k == INFINITY:
-        x = meet(F, line, chart)
+        x = meet(F, line, DEFAULT_CHART)
         if x is None:
             raise DegenerateChart("line AB lies on the chart")
         return x
-    a = _chart_scale(F, A, chart)
-    b = _chart_scale(F, B, chart)
+    a = _chart_scale(F, A)
+    b = _chart_scale(F, B)
     if a is None or b is None:
         raise DegenerateChart("endpoint on the chart line")
     if k == 1:

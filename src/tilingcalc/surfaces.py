@@ -380,51 +380,40 @@ class MarkedComplex(JsonText):
         return cls(K, Labeling(*labels), marked - 1)
 
 
-# -- incidence-pair enumeration -------------------------------------------
+# -- the cells a labeled tiling mandates ----------------------------------
 
 
-def incident_pairs(K: DeltaComplex):
-    """All incident pairs (i, j) constrained to +1 (or to the unique
-    labels-(1,1) cell): (edge, face), (vertex, edge), (edge, edge-itself).
-    Yields (kind_i, i, j) with j always an edge except kind 'ef'."""
-    seen = set()
+def mandated_cells(mc: MarkedComplex):
+    """The matrix cells the labeled complex forces, as (kind, i, j, p, l,
+    sign) with (p, l) the 1-based cell of the pair (i, j).  First +1 on
+    each incident pair, face by face and then edge by edge: (edge, face)
+    'ef', (vertex, edge) 've' and (edge, itself) 'ee'.  Then -1 on each
+    pair (i in V+E, j in E) lying in one face with i not contained in j,
+    each pair once.  No +1 is mandated at cell (1, 1): the zero pair sits
+    there, and it carries the conclusion, not a hypothesis."""
+    K, lab = mc.complex, mc.labeling
+    pv, pe, lf, le = lab.p_vertex, lab.p_edge, lab.l_face, lab.l_edge
     for f in range(len(K.faces)):
         for e in set(K.face_edges(f)):
-            key = ("ef", e, f)
-            if key not in seen:
-                seen.add(key)
-                yield key
+            if (pe[e], lf[f]) != (1, 1):
+                yield "ef", e, f, pe[e], lf[f], 1
     for e, (t, h) in enumerate(K.edges):
         for v in {t, h}:
-            yield ("ve", v, e)
-        yield ("ee", e, e)
-
-
-def same_face_nonincident_pairs(K: DeltaComplex):
-    """Pairs (i in V+E, j in E) lying in one face with i not contained in
-    j: constrained to -1.  Yields (kind_i, i, j_edge)."""
+            if (pv[v], le[e]) != (1, 1):
+                yield "ve", v, e, pv[v], le[e], 1
+        if (pe[e], le[e]) != (1, 1):
+            yield "ee", e, e, pe[e], le[e], 1
     seen = set()
     for f in range(len(K.faces)):
         face_edges = set(K.face_edges(f))
         face_vertices = set(K.face_vertices(f))
         for j in face_edges:
-            ends = set(K.edges[j])
-            for v in face_vertices - ends:
-                key = ("ve", v, j)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-            for i in face_edges - {j}:
-                key = ("ee", i, j)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
-
-def _pair_cell(lab: Labeling, kind: str, i: int, j: int) -> tuple[int, int]:
-    p = lab.p_edge[i] if kind in ("ef", "ee") else lab.p_vertex[i]
-    l = lab.l_face[j] if kind == "ef" else lab.l_edge[j]
-    return p, l
+            pairs = [("ve", v, pv[v]) for v in face_vertices - set(K.edges[j])]
+            pairs += [("ee", i, pe[i]) for i in face_edges - {j}]
+            for kind, i, p in pairs:
+                if (kind, i, j) not in seen:
+                    seen.add((kind, i, j))
+                    yield kind, i, j, p, le[j], -1
 
 
 # -- validation -----------------------------------------------------------
@@ -438,14 +427,9 @@ class ValidationReport:
     excisable: bool | None = None
 
     @property
-    def zero_ok(self) -> bool:
-        return len(self.zero_pairs) == 1
-
-    @property
     def ok(self) -> bool:
         return (
-            self.zero_ok
-            and not self.plus_violations
+            not self.plus_violations
             and not self.minus_violations
             and self.excisable is not False
         )
@@ -463,26 +447,17 @@ class ValidationReport:
 def validate_elementary_proof(
     mc: MarkedComplex, mat: IncidenceMatrix, group=None
 ) -> ValidationReport:
-    """Check the labeled complex against the matrix: the unique (1,1)
-    pair, the mandated +1 cells, the mandated -1 cells, and (when a group
-    is given) excisability of the marked open face."""
+    """Check the labeled complex against the matrix: the mandated +1 and
+    -1 cells, and (when a group is given) excisability of the marked open
+    face.  The unique (1,1) pair is the complex's own invariant."""
     K, lab = mc.complex, mc.labeling
     if lab.max_point() > mat.m or lab.max_line() > mat.n:
         raise ValueError("labels exceed matrix dimensions")
-    report = ValidationReport(zero_pairs=_zero_pairs(K, lab))
-    the_zero = report.zero_pairs[0] if report.zero_ok else None
-    for kind, i, j in incident_pairs(K):
-        if kind == "ef" and the_zero == (i, j):
-            continue
-        p, l = _pair_cell(lab, kind, i, j)
-        if (p, l) == (1, 1):
-            continue  # part of the uniqueness check, not a +1 mandate
-        if mat.entry(p, l) != 1:
-            report.plus_violations.append((kind, i, j, p, l))
-    for kind, i, j in same_face_nonincident_pairs(K):
-        p, l = _pair_cell(lab, kind, i, j)
-        if mat.entry(p, l) != -1:
-            report.minus_violations.append((kind, i, j, p, l))
+    report = ValidationReport(zero_pairs=[mc.zero_pair()])
+    for kind, i, j, p, l, sign in mandated_cells(mc):
+        if mat.entry(p, l) != sign:
+            violations = report.plus_violations if sign == 1 else report.minus_violations
+            violations.append((kind, i, j, p, l))
     if group is not None:
         from .excision import can_excise
 
@@ -496,22 +471,11 @@ def generate_theorem(mc: MarkedComplex) -> IncidenceMatrix:
     K, lab = mc.complex, mc.labeling
     if not lab.is_bijective():
         raise NotBijective("point and line labelings must both be bijections")
-    m = K.vertex_count + len(K.edges)
-    n = len(K.faces) + len(K.edges)
-    grid = [[0] * n for _ in range(m)]
-    the_zero = mc.zero_pair()
-    for kind, i, j in incident_pairs(K):
-        if kind == "ef" and (i, j) == the_zero:
-            continue
-        p, l = _pair_cell(lab, kind, i, j)
-        if grid[p - 1][l - 1] == -1:
+    grid = [[0] * (len(K.faces) + len(K.edges)) for _ in range(K.vertex_count + len(K.edges))]
+    for _, _, _, p, l, sign in mandated_cells(mc):
+        if grid[p - 1][l - 1] == -sign:
             raise LabelConflict((p, l))
-        grid[p - 1][l - 1] = 1
-    for kind, i, j in same_face_nonincident_pairs(K):
-        p, l = _pair_cell(lab, kind, i, j)
-        if grid[p - 1][l - 1] == 1:
-            raise LabelConflict((p, l))
-        grid[p - 1][l - 1] = -1
+        grid[p - 1][l - 1] = sign
     return IncidenceMatrix(grid)
 
 

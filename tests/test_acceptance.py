@@ -10,7 +10,7 @@ from fractions import Fraction
 from tilingcalc.catalog import (
     fano_closure_matrix,
     hexagon_closure_matrix,
-    hexagon_counterexample_points,
+    hexagon_counterexample,
     line_count_matrix,
     pappus_aux12_matrix,
     pappus_aux16_matrix,
@@ -58,7 +58,7 @@ from tilingcalc.noncomm import (
     pappus_counterexample,
     random_disc,
 )
-from tilingcalc.plane import affine_point, incident, join, meet
+from tilingcalc.plane import incident
 from tilingcalc.realize import multiplicative_cochain, realize_from_cochain
 from tilingcalc.search import check_theorem, verify_configuration
 from tilingcalc.surfaces import generate_theorem, octahedral_subdivide
@@ -88,20 +88,9 @@ def test_02_finite_field_verdicts_for_the_three_reference_statements():
 
 
 def test_03_documented_6_gon_counterexample_verifies_over_order_three():
-    from tilingcalc.plane import Configuration
-
-    F = field(3)
-    pts = [affine_point(F, x, y) for x, y in hexagon_counterexample_points()]
-    side = lambda a, b: join(F, pts[a - 1], pts[b % 6])
-    s12, s23, s34 = side(1, 1), side(2, 2), side(3, 3)
-    s45, s56, s61 = side(4, 4), side(5, 5), side(6, 6)
-    k1, k2 = join(F, pts[0], pts[2]), join(F, pts[1], pts[3])
-    q_pt, r_pt = meet(F, s12, s34), meet(F, s45, s61)
-    config = Configuration(
-        3, (*pts, q_pt, r_pt), (s23, k1, k2, s12, s34, s56, s45, s61)
-    )
+    config = hexagon_counterexample()
     assert verify_configuration(hexagon_closure_matrix(), config)
-    assert not incident(F, config.points[0], config.lines[0])
+    assert not incident(field(3), config.points[0], config.lines[0])
 
 
 def test_04_excision_decision_agrees_with_the_exhaustive_oracle():

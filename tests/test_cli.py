@@ -172,12 +172,25 @@ class TestPropagate:
 
 class TestExcise:
     def test_marked_face_not_excisable_with_three_torsion(self, capsys):
+        # F16* and F2147483647* have torsion past the enumerating oracle's
+        # cap, so their witness comes from a smaller modulus
+        for group in ("F4", "F16*", "F2147483647*"):
+            code, report = run(
+                capsys, "excise", fx("ninegon-grope.json"), "--face", "marked",
+                "--group", group,
+            )
+            assert code == 1
+            assert report["excisable"] is False
+            assert report["failingCochain"]["modulus"] == 3, group
+
+    def test_finite_group_witness_modulus_divides_its_order(self, capsys):
+        # the would-be 6-gon fails over every cyclic group, so Z/2 has a
+        # failing cochain too; but Z/2 is no subgroup of F16* (order 15)
         code, report = run(
-            capsys, "excise", fx("ninegon-grope.json"), "--face", "marked",
-            "--group", "F4",
+            capsys, "excise", fx("would-be-6-gon.json"), "--face", "marked",
+            "--group", "F16*",
         )
         assert code == 1
-        assert report["excisable"] is False
         assert report["failingCochain"]["modulus"] == 3
 
     def test_marked_face_excisable_without(self, capsys):

@@ -266,24 +266,12 @@ class TestPappusCounterexample:
 
     def test_configuration_satisfies_hypotheses(self):
         from tilingcalc.complexes import pappus_torus_case1
-        from tilingcalc.surfaces import (
-            _pair_cell,
-            incident_pairs,
-            same_face_nonincident_pairs,
-        )
+        from tilingcalc.surfaces import mandated_cells
 
         cfg = pappus_counterexample(I, J)
-        mc = pappus_torus_case1()
-        K, lab = mc.complex, mc.labeling
-        the_zero = mc.zero_pair()
-        for kind, i, j in incident_pairs(K):
-            if kind == "ef" and (i, j) == the_zero:
-                continue
-            p, l = _pair_cell(lab, kind, i, j)
-            assert incident_line(cfg.points[p - 1], cfg.lines[l - 1]), (kind, i, j)
-        for kind, i, j in same_face_nonincident_pairs(K):
-            p, l = _pair_cell(lab, kind, i, j)
-            assert not incident_line(cfg.points[p - 1], cfg.lines[l - 1]), (kind, i, j)
+        for kind, i, j, p, l, sign in mandated_cells(pappus_torus_case1()):
+            on = incident_line(cfg.points[p - 1], cfg.lines[l - 1])
+            assert on == (sign == 1), (kind, i, j)
         # the conclusion fails
         assert not incident_line(cfg.points[0], cfg.lines[0])
 
@@ -309,25 +297,13 @@ class TestPappusCounterexample:
 
     def test_verify_against_matrix_form(self):
         from tilingcalc.complexes import pappus_torus_case1
-        from tilingcalc.surfaces import (
-            _pair_cell,
-            incident_pairs,
-            same_face_nonincident_pairs,
-        )
+        from tilingcalc.surfaces import mandated_cells
         from tilingcalc.ternary import IncidenceMatrix
 
-        mc = pappus_torus_case1()
         grid = [[0] * 9 for _ in range(12)]
-        the_zero = mc.zero_pair()
-        for kind, i, j in incident_pairs(mc.complex):
-            if kind == "ef" and (i, j) == the_zero:
-                continue
-            p, l = _pair_cell(mc.labeling, kind, i, j)
-            grid[p - 1][l - 1] = 1
-        for kind, i, j in same_face_nonincident_pairs(mc.complex):
-            p, l = _pair_cell(mc.labeling, kind, i, j)
-            assert grid[p - 1][l - 1] != 1
-            grid[p - 1][l - 1] = -1
+        for _, _, _, p, l, sign in mandated_cells(pappus_torus_case1()):
+            assert grid[p - 1][l - 1] != -sign
+            grid[p - 1][l - 1] = sign
         grid[0][0] = -1  # refuted conclusion
         mat = IncidenceMatrix(grid)
         cfg = pappus_counterexample(I, J)

@@ -12,7 +12,7 @@ import tilingcalc
 from tilingcalc.catalog import (
     fano_closure_matrix,
     hexagon_closure_matrix,
-    hexagon_counterexample_points,
+    hexagon_counterexample,
     line_count_matrix,
     pappus_base_matrix,
     warmup_matrix,
@@ -22,11 +22,9 @@ from tilingcalc.fields import field
 from tilingcalc.plane import (
     Configuration,
     DimensionMismatch,
-    affine_point,
     all_points,
     incident,
     join,
-    meet,
     normalize,
 )
 from tilingcalc.search import (
@@ -100,18 +98,10 @@ class TestVerifyConfiguration:
         # carrier lines, and the six sides satisfy the matrix while the
         # conclusion incidence (vertex 1 on side 23) fails
         F = field(3)
-        P = [affine_point(F, x, y) for x, y in hexagon_counterexample_points()]
-        K1 = join(F, P[0], P[2])  # carries P1, P3, P5
-        K2 = join(F, P[1], P[3])  # carries P2, P4, P6
-        side = lambda a, b: join(F, P[a - 1], P[b % 6])
-        S12, S23, S34 = side(1, 1), side(2, 2), side(3, 3)
-        S45, S56, S61 = side(4, 4), side(5, 5), side(6, 6)
-        Q = meet(F, S12, S34)
-        R = meet(F, S45, S61)
+        c = hexagon_counterexample()
+        Q, R = c.points[6], c.points[7]
+        S23, S56 = c.lines[0], c.lines[5]
         assert incident(F, Q, S56) and incident(F, R, S23)
-        c = Configuration(
-            3, (*P, Q, R), (S23, K1, K2, S12, S34, S56, S45, S61)
-        )
         mat = hexagon_closure_matrix()
         assert verify_configuration(mat, c)
         assert not incident(F, c.points[0], c.lines[0])
