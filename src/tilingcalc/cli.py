@@ -14,6 +14,11 @@ rejects) into a ``UsageError`` naming the file, and ``main`` turns any
 ``ValueError``, ``KeyError``, ``TypeError`` or ``IndexError`` that
 escapes a subcommand into one ``error:`` line, and a stdout closed by its
 reader (``BrokenPipeError``) into exit 2 with nothing on stderr.
+
+The argparse tree is built once per process, on the first ``main`` call,
+and reused by later calls.  Only in-process callers (tests, library
+users, benchmarks) gain from that: a ``tilingcalc`` process calls
+``main`` once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import os
 import random
 import re
 import sys
-from pathlib import Path
 
 from .excision import GroupSpec, failing_cochain
 from .plane import Configuration
@@ -52,32 +56,31 @@ class UsageError(ValueError):
 # -- plumbing --------------------------------------------------------------
 
 
-def _read(path: str) -> str:
+def _load(args, path: str, parse):
+    """The file parsed by ``parse`` (a type's ``from_json``); any fault in
+    reading it, or in its text or content, is a usage error naming the
+    file.  The digest of the text goes into ``args.inputs`` for the
+    report."""
+    # open, not pathlib: pathlib interns each part of the path, and over
+    # thousands of in-process calls that churn regrows the interpreter's
+    # table of interned strings (about 1 MB more peak memory)
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(path: str, parse):
-    """The file parsed by ``parse`` (a type's ``from_json``); any fault in
-    its text or content is a usage error naming the file."""
-    text = _read(path)
+    args.inputs[path] = hashlib.sha256(text.encode()).hexdigest()[:16]
     try:
         return parse(text)
     except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(_read(path).encode()).hexdigest()[:16]
-
-
-def _report(args, inputs: list[str], **body) -> dict:
+def _report(args, **body) -> dict:
     return {
         "command": args.command,
         "version": _tool_version(),
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": args.inputs,
         **body,
     }
 
@@ -116,8 +119,8 @@ def parse_group(text: str) -> GroupSpec:
 def _cmd_check(args) -> int:
     from .search import check_theorem
 
-    verdict = check_theorem(_load(args.matrix, IncidenceMatrix.from_json), args.q)
-    _emit(_report(args, [args.matrix], q=args.q, verdict=verdict.to_json_obj()))
+    verdict = check_theorem(_load(args, args.matrix, IncidenceMatrix.from_json), args.q)
+    _emit(_report(args, q=args.q, verdict=verdict.to_json_obj()))
     if verdict.outcome in ("true", "vacuous"):
         return 0
     if verdict.outcome == "counterexample":
@@ -128,9 +131,9 @@ def _cmd_check(args) -> int:
 def _cmd_verify(args) -> int:
     from .search import verify_configuration
 
-    mat = _load(args.matrix, IncidenceMatrix.from_json)
-    ok = verify_configuration(mat, _load(args.config, Configuration.from_json))
-    _emit(_report(args, [args.matrix, args.config], verified=ok))
+    mat = _load(args, args.matrix, IncidenceMatrix.from_json)
+    ok = verify_configuration(mat, _load(args, args.config, Configuration.from_json))
+    _emit(_report(args, verified=ok))
     return 0 if ok else 1
 
 
@@ -146,7 +149,7 @@ def _parse_seeds(specs) -> list[tuple[int, int, int]]:
 
 
 def _cmd_propagate(args) -> int:
-    mat = _load(args.matrix, IncidenceMatrix.from_json)
+    mat = _load(args, args.matrix, IncidenceMatrix.from_json)
     sweeps = "fixpoint"
     if args.sweeps != "fix":
         try:
@@ -156,16 +159,16 @@ def _cmd_propagate(args) -> int:
     try:
         result = propagate(mat, _parse_seeds(args.seed), max_sweeps=sweeps)
     except SeedConflict as exc:
-        _emit(_report(args, [args.matrix], conflict=str(exc)))
+        _emit(_report(args, conflict=str(exc)))
         return 1
-    _emit(_report(args, [args.matrix], matrix=result.to_json_obj()))
+    _emit(_report(args, matrix=result.to_json_obj()))
     return 0
 
 
 def _cmd_excise(args) -> int:
     from .excision import TooLarge, can_excise
 
-    mc = _load(args.complex, MarkedComplex.from_json)
+    mc = _load(args, args.complex, MarkedComplex.from_json)
     K = mc.complex
     if args.face == "marked":
         face = mc.marked
@@ -200,7 +203,6 @@ def _cmd_excise(args) -> int:
     _emit(
         _report(
             args,
-            [args.complex],
             face=face + 1,
             group=G.to_json_obj(),
             excisable=ok,
@@ -211,25 +213,25 @@ def _cmd_excise(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    mat = generate_theorem(_load(args.complex, MarkedComplex.from_json))
-    _emit(_report(args, [args.complex], matrix=mat.to_json_obj()))
+    mat = generate_theorem(_load(args, args.complex, MarkedComplex.from_json))
+    _emit(_report(args, matrix=mat.to_json_obj()))
     return 0
 
 
 def _cmd_validate(args) -> int:
     from .surfaces import validate_elementary_proof
 
-    mc = _load(args.complex, MarkedComplex.from_json)
-    mat = _load(args.matrix, IncidenceMatrix.from_json)
+    mc = _load(args, args.complex, MarkedComplex.from_json)
+    mat = _load(args, args.matrix, IncidenceMatrix.from_json)
     group = parse_group(args.group) if args.group else None
     report = validate_elementary_proof(mc, mat, group=group)
-    _emit(_report(args, [args.complex, args.matrix], report=report.to_json_obj()))
+    _emit(_report(args, report=report.to_json_obj()))
     return 0 if report.ok else 1
 
 
 def _cmd_subdivide(args) -> int:
-    out = octahedral_subdivide(_load(args.complex, MarkedComplex.from_json))
-    _emit(_report(args, [args.complex], complex=out.to_json_obj()))
+    out = octahedral_subdivide(_load(args, args.complex, MarkedComplex.from_json))
+    _emit(_report(args, complex=out.to_json_obj()))
     return 0
 
 
@@ -251,20 +253,20 @@ def _cmd_grope(args) -> int:
         if min(ks) < 2:
             raise UsageError(f"bad --ks {args.ks!r}; wrap counts must be at least 2")
         grope = random_grope(random.Random(args.seed), G, ks=ks)
-    _emit(_report(args, [], grope=grope.to_json_obj()))
+    _emit(_report(args, grope=grope.to_json_obj()))
     return 0
 
 
 def _cmd_prove_validate(args) -> int:
     from .certificates import Certificate, CoverageGap, validate_certificate
 
-    cert = _load(args.certificate, Certificate.from_json)
+    cert = _load(args, args.certificate, Certificate.from_json)
     try:
         report = validate_certificate(cert)
     except CoverageGap as exc:
-        _emit(_report(args, [args.certificate], coverageGap=str(exc)))
+        _emit(_report(args, coverageGap=str(exc)))
         return 1
-    _emit(_report(args, [args.certificate], report=report.to_json_obj()))
+    _emit(_report(args, report=report.to_json_obj()))
     return 0 if report.ok else 1
 
 
@@ -298,7 +300,6 @@ def _cmd_quat(args) -> int:
     _emit(
         _report(
             args,
-            [],
             u=u.to_json_obj(),
             v=v.to_json_obj(),
             counterexample=config.to_json_obj(),
@@ -353,13 +354,14 @@ def _cmd_selftest(args) -> int:
         for n in range(2, 6)
     )
     ok = all(checks.values())
-    _emit(_report(args, [], checks=checks, ok=ok))
+    _emit(_report(args, checks=checks, ok=ok))
     return 0 if ok else 1
 
 
 # -- dispatch --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilingcalc",
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(inputs={}))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 MINUS, ZERO, PLUS = -1, 0, 1
 _VALID = (-1, 0, 1)
@@ -23,10 +24,6 @@ class SeedConflict(ValueError):
 
 class NotNegative(ValueError):
     """contradiction_form requires the target cell to hold -1."""
-
-
-class TooManyZeros(ValueError):
-    """case_split refused: too many zero cells to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -189,27 +186,38 @@ def is_tautology(mat: IncidenceMatrix) -> bool:
     return mat.entry(1, 1) == PLUS
 
 
-def _pattern_through(P: list[int], N: list[int], j: int) -> bool:
-    """Whether the forbidden pattern uses column j (0-based), given the
-    row bitmasks P[c] / N[c] of the +1 / -1 entries of each column.
+def _completes_pattern(i, j, plus, P, N, RP, RN, rows, cols) -> bool:
+    """Whether a forbidden pattern uses cell (i, j) (0-based) when it
+    holds +1 (``plus``) or -1.  P[c] / N[c] are the row bitmasks of the
+    +1 / -1 entries of column c, RP[r] / RN[r] the column bitmasks of row
+    r; ``rows`` lists the +1 rows of column j, ``cols`` the +1 columns of
+    row i.  The cell's sign is read from ``plus`` alone, so the masks
+    need not hold it.
 
-    The pattern lives on columns c1, c2, c3 exactly when N[c1] & P[c2]
-    is nonzero (a separating row) and S = P[c1] & P[c2] (the shared
-    rows) meets both P[c3] and N[c3]; those tests also keep the three
-    columns and the three rows distinct.  O(n^2) mask operations.
+    In the pattern's terms (r1 separates c1 from c2, r2 and r3 lie on
+    both, c3 separates r2 from r3), the roles the cell can play are:
+    - (r1, c2) as +1 or (r1, c1) as -1: r2, r3 run over ``rows``, with
+      c1 among row i's -1 columns (c2 among its +1 columns);
+    - (r2, c3) as +1 or (r3, c3) as -1: c1, c2 run over ``cols``, with
+      r3 among column j's -1 rows (r2 among its +1 rows);
+    - as +1, a corner of the +1 block on r2, r3 and c1, c2: the other
+      row runs over ``rows``, the other column over ``cols``.
+    The cost is quadratic in the +1 entries of one row or column.
     """
-    Pj, Nj = P[j], N[j]
-    for pa, na in zip(P, N):
-        # j as c1 or c2, with the other of the two in column a
-        s = Pj & pa
-        if s & (s - 1) and (Nj & pa or na & Pj) and any(s & p and s & q for p, q in zip(P, N)):
+    X = RN[i] if plus else RP[i]
+    for a, b in combinations(rows, 2):
+        if RP[a] & RP[b] & X and (RN[a] & RP[b] or RN[b] & RP[a]):
             return True
-        # j as c3, with column a as c1
-        if Pj and Nj and na:
-            for pb in P:
-                s = pa & pb
-                if na & pb and s & Pj and s & Nj:
-                    return True
+    Y = N[j] if plus else P[j]
+    for a, b in combinations(cols, 2):
+        if P[a] & P[b] & Y and (N[a] & P[b] or N[b] & P[a]):
+            return True
+    if plus:
+        for c in cols:
+            if N[j] & P[c] or N[c] & P[j]:  # some row separates j from c
+                for r in rows:
+                    if RP[r] >> c & 1 and (RN[i] & RP[r] or RN[r] & RP[i]):
+                        return True
     return False
 
 
@@ -226,11 +234,13 @@ def propagate(
     nothing, or until ``max_sweeps`` sweeps have run.  Only -1 is ever
     committed by scanning, so the result refines the input.
 
-    The grid is held as per-column row bitmasks, and a change to column
-    j is checked with ``_pattern_through`` for the patterns through j
-    only: filling a zero cell never removes a pattern, so any new one
-    uses the changed cell.  Once the grid holds a pattern (after seeding,
-    or completed by a -1 commit), every zero cell scanned becomes -1.
+    Until the grid holds a pattern, a cell the scan fills is checked
+    with ``_completes_pattern`` for the patterns through that cell only:
+    the grid held none before, and filling a zero cell never removes
+    one, so any new pattern uses the changed cell.  The grid is held as
+    per-column row bitmasks and per-row column bitmasks for that test.
+    Once the grid holds a pattern (after seeding, or completed by a -1
+    commit), every zero cell scanned becomes -1.
     """
     if max_sweeps != "fixpoint" and (not isinstance(max_sweeps, int) or max_sweeps < 0):
         raise ValueError("max_sweeps must be 'fixpoint' or a nonnegative int")
@@ -245,28 +255,33 @@ def propagate(
             raise SeedConflict(f"seed ({i},{j})={v} conflicts with entry {cur}")
         grid[i - 1][j - 1] = v
 
-    P = [sum(1 << i for i, row in enumerate(grid) if row[j] == PLUS) for j in range(mat.n)]
+    # scanning commits only -1, so the +1 entries stay as seeded
+    plus_rows = [[i for i, row in enumerate(grid) if row[j] == PLUS] for j in range(mat.n)]
+    plus_cols = [[j for j, v in enumerate(row) if v == PLUS] for row in grid]
+    P = [sum(1 << i for i in rows) for rows in plus_rows]
+    RP = [sum(1 << j for j in cols) for cols in plus_cols]
     N = [sum(1 << i for i, row in enumerate(grid) if row[j] == MINUS) for j in range(mat.n)]
+    RN = [sum(1 << j for j, v in enumerate(row) if v == MINUS) for row in grid]
     broken = contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None
 
     sweeps = 0
     while max_sweeps == "fixpoint" or sweeps < max_sweeps:
         changed = False
         for i, row in enumerate(grid):
-            bit = 1 << i
             for j in range(mat.n):
                 if row[j] != ZERO:
                     continue
-                if not broken:
-                    P[j] |= bit
-                    hit = _pattern_through(P, N, j)
-                    P[j] ^= bit
-                    if not hit:
-                        continue
+                if not broken and not _completes_pattern(
+                    i, j, True, P, N, RP, RN, plus_rows[j], plus_cols[i]
+                ):
+                    continue
                 row[j] = MINUS
-                N[j] |= bit
+                N[j] |= 1 << i
+                RN[i] |= 1 << j
                 changed = True
-                broken = broken or _pattern_through(P, N, j)
+                broken = broken or _completes_pattern(
+                    i, j, False, P, N, RP, RN, plus_rows[j], plus_cols[i]
+                )
         sweeps += 1
         if not changed:
             break
@@ -332,23 +347,3 @@ def contradiction_form(mat: IncidenceMatrix, i: int, j: int) -> IncidenceMatrix:
         row[0], row[j - 1] = row[j - 1], row[0]
     return IncidenceMatrix(grid)
 
-
-def case_split(mat: IncidenceMatrix, cap: int = 20) -> Iterator[IncidenceMatrix]:
-    """Yield all sign completions of the zero cells.
-
-    Enumeration is lexicographic over the row-major list of zero cells
-    with -1 before +1, so 2**k matrices come out in a fixed order.
-    """
-    zeros = mat.zero_cells()
-    if len(zeros) > cap:
-        raise TooManyZeros(f"{len(zeros)} zero cells exceeds cap {cap}")
-
-    def rec(current: IncidenceMatrix, todo: list[tuple[int, int]]) -> Iterator[IncidenceMatrix]:
-        if not todo:
-            yield current
-            return
-        (i, j), rest = todo[0], todo[1:]
-        for v in (MINUS, PLUS):
-            yield from rec(current.with_entry(i, j, v), rest)
-
-    return rec(mat, zeros)

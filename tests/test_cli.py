@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from tilingcalc.complexes import desargues_tetrahedron, one_line_complex
 from tilingcalc.excision import GroupSpec
 from tilingcalc.search import check_theorem
 from tilingcalc.surfaces import MarkedComplex, generate_theorem
-from tilingcalc.ternary import IncidenceMatrix
+from tilingcalc.ternary import IncidenceMatrix, propagate
 
 FIXTURES = files("tilingcalc") / "fixtures"
 
@@ -521,6 +522,21 @@ class TestPlumbing:
         assert proc.stderr.startswith("error: ")
         assert str(deep) in proc.stderr
 
+    def test_reused_parser_keeps_each_calls_seeds(self, capsys, tmp_path):
+        # main builds its parser once per process; the --seed list of one
+        # call must not leak into the next
+        path = tmp_path / "zeros.json"
+        text = IncidenceMatrix([[0] * 3] * 3).to_json()
+        path.write_text(text)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        for seeds in ([(1, 1, 1)], [], [(2, 2, -1)]):
+            argv = [a for r, c, v in seeds for a in ("--seed", f"{r},{c},{v}")]
+            code, report = run(capsys, "propagate", str(path), *argv)
+            assert code == 0
+            assert report["inputs"] == {str(path): digest}
+            want = propagate(IncidenceMatrix.from_json(text), seeds)
+            assert report["matrix"] == want.to_json_obj()
+
     def test_reports_carry_input_digests(self, capsys):
         _, report = run(capsys, "generate", fx("desargues-tetrahedron.json"))
         assert list(report["inputs"].values())[0]
@@ -629,7 +645,11 @@ class TestFuzz:
         argv, source = data.draw(st.sampled_from(FUZZ_RUNS))
         path = data.draw(st.sampled_from(list(json_paths(docs[source]))))
         value = data.draw(st.sampled_from(REPLACEMENTS))
-        (root / "MUT.json").write_text(mutated(docs[source], path, value))
+        mut = root / "MUT.json"
+        # a new file each time: truncating an existing one is much slower
+        # on some filesystems
+        mut.unlink(missing_ok=True)
+        mut.write_text(mutated(docs[source], path, value))
         argv = [str(root / f"{a}.json") if a in ("MUT", "CONFIG", "GOLDEN") else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -639,3 +659,66 @@ class TestFuzz:
             assert err.getvalue().startswith("error: ")
         if code == 1:
             assert carries_evidence(argv[0], json.loads(out.getvalue()))
+
+
+# -- fuzzing the option values ----------------------------------------------
+
+
+def numbers(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+TEXT = st.text(max_size=6)
+GROUPS = st.one_of(
+    st.sampled_from(["R*", "C*", "R", "C", "F4", "GF9*", "F3(X)*", "F6", "F1", "F0(X)*",
+                     "F4294967291", "F4294967296", "F99999999999"]),
+    numbers(-1, 30).map(lambda q: f"F{q}"),
+    st.builds(
+        lambda infinite, torsion: json.dumps({"infinite": infinite, "torsion": torsion}),
+        st.sampled_from([True, False, None, 0]),
+        st.one_of(st.just("full"), st.lists(st.integers(-1, 40), max_size=3), TEXT),
+    ),
+    TEXT,
+)
+QUATERNIONS = st.one_of(
+    st.sampled_from(["1", "i", "j", "k"]),
+    st.lists(st.sampled_from(["0", "1", "-2", "1/2", "3/-4", "1e3", "2/0", "nan"]),
+             min_size=4, max_size=4).map(",".join),
+    TEXT,
+)
+SEEDS = st.lists(
+    st.one_of(
+        st.tuples(numbers(-1, 14), numbers(-1, 11), numbers(-2, 2)).map(",".join),
+        TEXT,
+    ),
+    max_size=3,
+).map(lambda specs: [a for spec in specs for a in ("--seed", spec)])
+ARGVS = st.one_of(
+    st.builds(lambda q: ["check", fx("fano.json"), "--q", q],
+              st.one_of(numbers(-2, 12), TEXT)),
+    st.builds(lambda face, group: ["excise", fx("ninegon-grope.json"), "--face", face,
+                                   "--group", group],
+              st.one_of(st.just("marked"), numbers(-1, 40), TEXT), GROUPS),
+    st.builds(lambda seeds, sweeps: ["propagate", fx("pappus12x9.json"), *seeds,
+                                     "--sweeps", sweeps],
+              SEEDS, st.one_of(st.just("fix"), numbers(-2, 4), TEXT)),
+    st.builds(lambda seed, group: ["grope", "random", "--seed", seed, "--group", group,
+                                   "--ks", "3"],
+              st.one_of(numbers(-5, 10**6), TEXT), GROUPS),
+    st.builds(lambda u, v: ["quat", "pappus", "--u", u, "--v", v], QUATERNIONS, QUATERNIONS),
+)
+
+
+class TestArgvFuzz:
+    # Hundreds of in-process calls, all through the one parser main builds.
+    # argparse's own usage errors print a usage line before "prog: error: ".
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(argv=ARGVS)
+    def test_exit_contract_on_drawn_arguments(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # any exception escaping main fails the test
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "error: " in err.getvalue(), argv
+

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilingcalc import catalog, certificates
+from tilingcalc.fields import SUPPORTED_ORDERS, field
+from tilingcalc.plane import all_points, incident
 from tilingcalc.ternary import (
     GENERIC_LINE,
     GENERIC_POINT,
@@ -16,9 +18,7 @@ from tilingcalc.ternary import (
     NotNegative,
     PatternWitness,
     SeedConflict,
-    TooManyZeros,
     aux_join,
-    case_split,
     contradiction_form,
     contradicts_incidence_axiom,
     is_tautology,
@@ -254,6 +254,78 @@ def random_matrix(rng, m, n):
              for l in lines] for p in points]
 
 
+def planted_matrix(rng, m, n, q):
+    """The incidences of m random points and n random lines of PG(2, q),
+    with some cells hidden."""
+    F = field(q)
+    plane = all_points(F)
+    points = [rng.choice(plane) for _ in range(m)]
+    lines = [rng.choice(plane) for _ in range(n)]
+    hide = rng.choice((0.2, 0.4, 0.6))
+    return IncidenceMatrix(
+        [[0 if rng.random() < hide else 1 if incident(F, p, l) else -1 for l in lines]
+         for p in points]
+    )
+
+
+# The position of a cell in the forbidden pattern _PATTERN (rows r1..r3,
+# columns c1..c3), by the role it plays; the wildcard plays none.
+_ROLE_AT = {(0, 1): "r1c2", (1, 2): "r2c3", (0, 0): "r1c1", (2, 2): "r3c3",
+            (1, 0): "shared", (1, 1): "shared", (2, 0): "shared", (2, 1): "shared"}
+
+
+def roles_through(mat, i, j):
+    """The roles the 1-based cell (i, j) plays in the forbidden patterns
+    of mat that use it, by brute force."""
+    g = mat.rows()
+    roles = set()
+    for rows in itertools.permutations(range(mat.m), 3):
+        if i - 1 not in rows:
+            continue
+        for cols in itertools.permutations(range(mat.n), 3):
+            if j - 1 in cols and all(
+                want is None or g[r][c] == want
+                for r, wants in zip(rows, _PATTERN)
+                for c, want in zip(cols, wants)
+            ):
+                roles.add(_ROLE_AT.get((rows.index(i - 1), cols.index(j - 1))))
+    return roles - {None}
+
+
+# For each role a cell can play, a matrix whose first zero cell completes a
+# pattern in that role only, with the sign it takes there.  For a -1 role,
+# the +1 there completes some pattern first, so the scan commits -1, and
+# a later zero cell turns -1 only because the grid then holds a pattern:
+# no pattern passes through it.
+ROLE_CASES = [
+    ("r1c2", 1, [[0, -1, -1], [1, -1, 1], [1, 1, 1]]),
+    ("r2c3", 1, [[-1, 1, 1], [0, 1, 1], [-1, -1, 1]]),
+    ("shared", 1, [[-1, 1, -1], [1, 1, 1], [0, 1, -1]]),
+    ("r1c1", -1, [[-1, 1, 0, 1, 1], [-1, -1, 1, 0, 0], [-1, 1, 1, 1, -1], [1, 0, 1, 1, 0]]),
+    ("r3c3", -1, [[-1, -1, -1, 1, -1], [1, -1, 1, 0, 0], [0, 1, 1, 1, -1], [1, 0, 1, 1, 0],
+                  [1, 0, -1, 0, -1]]),
+]
+
+
+class TestChangedCellRoles:
+    @pytest.mark.parametrize("role,sign,rows", ROLE_CASES, ids=[c[0] for c in ROLE_CASES])
+    def test_only_this_role_completes_a_pattern(self, role, sign, rows):
+        mat = IncidenceMatrix(rows)
+        assert contradicts_incidence_axiom(mat) is None
+        (i, j), *later = mat.zero_cells()
+        assert roles_through(mat.with_entry(i, j, sign), i, j) == {role}
+        if sign == -1:
+            assert roles_through(mat.with_entry(i, j, 1), i, j)
+            minus = mat.with_entry(i, j, -1)
+            assert any(not roles_through(minus.with_entry(*z, 1), *z) for z in later)
+        else:
+            assert not later
+        for sweeps in ("fixpoint", 1):
+            out = propagate(mat, max_sweeps=sweeps)
+            assert out == naive_propagate(mat, max_sweeps=sweeps)
+            assert out.entry(i, j) == -1 and not out.zero_cells()
+
+
 class TestPropagateOracle:
     def test_agrees_on_random_matrices(self):
         rng = random.Random(20261018)
@@ -268,6 +340,17 @@ class TestPropagateOracle:
         for _ in range(100):
             mat = IncidenceMatrix(random_matrix(rng, rng.randint(6, 16), rng.randint(6, 12)))
             assert propagate(mat) == naive_propagate(mat), mat
+
+    def test_agrees_on_planted_matrices_with_single_seeds(self):
+        rng = random.Random(20261020)
+        cases = [(q, rng.randint(3, 16), rng.randint(3, 22)) for q in SUPPORTED_ORDERS * 2]
+        for q, m, n in cases + [(9, 16, 22)]:
+            mat = planted_matrix(rng, m, n, q)
+            i, j = rng.choice(mat.zero_cells())
+            for v in (-1, 1):
+                for sweeps in ("fixpoint", 1, 2):
+                    assert propagate(mat, [(i, j, v)], sweeps) == naive_propagate(
+                        mat, [(i, j, v)], sweeps), (mat, (i, j, v), sweeps)
 
     def test_agrees_on_every_certificate_replay_call(self, monkeypatch):
         calls = []
@@ -368,6 +451,31 @@ class TestContradictionForm:
         assert out.entry(14, 8) == -1
         # row 2 is untouched by the swaps apart from columns 1 and 8
         assert out.entry(2, 2) == m.entry(2, 2)
+
+
+class TooManyZeros(ValueError):
+    """case_split refused: too many zero cells to enumerate."""
+
+
+def case_split(mat, cap=20):
+    """Yield all sign completions of the zero cells.
+
+    Enumeration is lexicographic over the row-major list of zero cells
+    with -1 before +1, so 2**k matrices come out in a fixed order.
+    """
+    zeros = mat.zero_cells()
+    if len(zeros) > cap:
+        raise TooManyZeros(f"{len(zeros)} zero cells exceeds cap {cap}")
+
+    def rec(current, todo):
+        if not todo:
+            yield current
+            return
+        (i, j), rest = todo[0], todo[1:]
+        for v in (-1, 1):
+            yield from rec(current.with_entry(i, j, v), rest)
+
+    return rec(mat, zeros)
 
 
 class TestCaseSplit:
