@@ -166,7 +166,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_excise(args) -> int:
-    from .excision import TooLarge, can_excise
+    from .excision import _ORACLE_MAX_MODULUS, TooLarge, can_excise
 
     mc = _load(args, args.complex, MarkedComplex.from_json)
     K = mc.complex
@@ -188,7 +188,8 @@ def _cmd_excise(args) -> int:
         if exponent:
             moduli.append(exponent)
         # a finite G holds Z/n only for n dividing its exponent
-        fallback = [n for n in range(2, 13) if G.infinite or not exponent or exponent % n == 0]
+        fallback = [n for n in range(2, _ORACLE_MAX_MODULUS + 1)
+                    if G.infinite or not exponent or exponent % n == 0]
         for n in dict.fromkeys(moduli + fallback):
             cyclic = GroupSpec(False, (n,))
             if cyclic != G and can_excise(K, face, cyclic):

@@ -14,8 +14,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
+from .fields import prime_power
 from .surfaces import DeltaComplex, FaceNotFound
 from .ternary import JsonText
 
@@ -25,21 +26,6 @@ class TooLarge(ValueError):
 
 
 FULL = "full"
-
-
-def _field_order(q: int) -> int:
-    """q, when a field of order q exists: q = p**k for a prime p.  Trial
-    division decides that quickly only below 2**32; a raw JSON spec takes
-    any torsion."""
-    if not 2 <= q < 2**32:
-        raise ValueError(f"field order must be in 2..2**32 - 1, got {q}")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise ValueError(f"no field has order {q}: it is not a prime power")
-    return q
 
 
 @dataclass(frozen=True)
@@ -69,11 +55,13 @@ class GroupSpec(JsonText):
 
     @classmethod
     def finite_field(cls, q: int) -> "GroupSpec":
-        return cls(False, (_field_order(q) - 1,))
+        prime_power(q)
+        return cls(False, (q - 1,))
 
     @classmethod
     def rational_functions(cls, q: int) -> "GroupSpec":
-        return cls(True, (_field_order(q) - 1,))
+        prime_power(q)
+        return cls(True, (q - 1,))
 
     def exponent(self) -> int | None:
         """Least common annihilator of the torsion, None when unbounded."""

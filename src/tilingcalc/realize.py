@@ -10,9 +10,9 @@ the marked face differs from 1, that configuration refutes the theorem.
 
 from __future__ import annotations
 
-from .fields import SUPPORTED_ORDERS, field
+from .fields import field
 from .plane import DEFAULT_CHART, Configuration, all_points, dot, join, meet, point_at_ratio
-from .search import UnsupportedField, verify_configuration
+from .search import verify_configuration
 from .surfaces import generate_theorem
 
 
@@ -73,8 +73,6 @@ def realize_from_cochain(mc, values, q: int):
     conclusion.  Returns None when no suitable placement exists over this
     field order.
     """
-    if q not in SUPPORTED_ORDERS:
-        raise UnsupportedField(f"no projective plane of order {q} is supported")
     F = field(q)
     K, lab = mc.complex, mc.labeling
     mat = generate_theorem(mc)

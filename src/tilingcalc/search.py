@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .fields import SUPPORTED_ORDERS, field
+from .fields import UnsupportedField, field  # UnsupportedField is re-exported
 from .plane import Configuration, all_points, check_sizes, dot, incident
 from .ternary import IncidenceMatrix
-
-
-class UnsupportedField(ValueError):
-    pass
 
 
 @dataclass
@@ -308,8 +304,7 @@ class _Searcher:
 def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Verdict:
     """Complete search verdict for the theorem with this matrix over the
     plane of order q."""
-    if q not in SUPPORTED_ORDERS:
-        raise UnsupportedField(f"no projective plane of order {q} is supported")
+    F = field(q)  # rejects an unsupported order
     stats = SearchStats()
     try:
         counterexample = None
@@ -317,7 +312,7 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
             counterexample = _Searcher(mat, q, True, stats, node_budget).run()
         if counterexample is not None:
             if not verify_configuration(mat, counterexample) or incident(
-                field(q), counterexample.points[0], counterexample.lines[0]
+                F, counterexample.points[0], counterexample.lines[0]
             ):
                 raise AssertionError("the search returned no counterexample")
             return Verdict("counterexample", counterexample, stats)

@@ -10,7 +10,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tilingcalc
 from tilingcalc.catalog import pappus_case1_golden
@@ -122,6 +122,7 @@ class TestVerify:
             pytest.param(lambda c: set_first_one(c["points"][0], 1.0), id="coordinate-float"),
             pytest.param(lambda c: set_first_one(c["lines"][0], True), id="coordinate-bool"),
             pytest.param(lambda c: c.update(q=2.0), id="q-float"),
+            pytest.param(lambda c: c.update(q=33), id="q-33"),
         ],
     )
     def test_non_integer_configuration_is_usage_error(self, tmp_path, edit):
@@ -491,6 +492,8 @@ class TestPlumbing:
             ["grope", "random", "--seed", "1", "--ks", "x"],
             ["propagate", fx("pappus12x9.json"), "--seed", "1,1,5"],
             ["propagate", fx("pappus12x9.json"), "--sweeps", "-1"],
+            ["check", fx("fano.json"), "--q", "33"],
+            ["check", fx("fano.json"), "--q", "1024"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv):
@@ -709,16 +712,23 @@ ARGVS = st.one_of(
 )
 
 
+# a field order past nine; the Fano statement holds over every odd order
+FANO_OVER_11 = ["check", fx("fano.json"), "--q", "11"]
+
+
 class TestArgvFuzz:
     # Hundreds of in-process calls, all through the one parser main builds.
     # argparse's own usage errors print a usage line before "prog: error: ".
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(argv=ARGVS)
+    @example(argv=FANO_OVER_11)
     def test_exit_contract_on_drawn_arguments(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)  # any exception escaping main fails the test
         assert code in (0, 1, 2), argv
+        if argv == FANO_OVER_11:
+            assert code == 0, err.getvalue()
         if code == 2:
             assert "error: " in err.getvalue(), argv
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingcalc.fields import GF, SUPPORTED_ORDERS, DivisionByZero, field
+from tilingcalc.fields import GF, SUPPORTED_ORDERS, DivisionByZero, UnsupportedField, field
 from tilingcalc.plane import (
     DEFAULT_CHART,
     INFINITY,
@@ -27,12 +27,51 @@ from tilingcalc.plane import (
 class TestFields:
     @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
     def test_construction_passes_axiom_audit(self, q):
-        # GF.__init__ asserts the axioms exhaustively
-        assert field(q).q == q
+        F = field(q)
+        add, mul, rng = F._add, F._mul, range(q)
+        for a in rng:
+            assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+            assert F.sub(a, a) == 0
+            for b in rng:
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+                for c in rng:
+                    assert add[add[a][b]][c] == add[a][add[b][c]]
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a in range(1, q):
+            assert mul[a][F.inv(a)] == 1
+
+    @pytest.mark.parametrize(
+        "q, modulus",
+        [
+            (4, [1, 1, 1]),            # x^2 + x + 1
+            (8, [1, 1, 0, 1]),         # x^3 + x + 1
+            (9, [1, 0, 1]),            # x^2 + 1
+            (16, [1, 1, 0, 0, 1]),     # x^4 + x + 1
+            (25, [2, 0, 1]),           # x^2 + 2
+            (27, [1, 2, 0, 1]),        # x^3 + 2x + 1
+            (32, [1, 0, 1, 0, 0, 1]),  # x^5 + x^2 + 1
+        ] + [(p, [0, 1]) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)],
+    )
+    def test_rule_picks_least_irreducible_modulus(self, q, modulus):
+        assert field(q).modulus == modulus
+
+    def test_products_of_the_serialized_tables(self):
+        # indices keep the meaning they had when three moduli were pinned
+        assert field(4).mul(2, 2) == 3  # x * x = x + 1
+        assert field(8).mul(2, 4) == 3  # x * x^2 = x + 1
+        assert field(9).mul(3, 3) == 2  # x * x = -1
+        assert field(9).add(4, 5) == 6  # (x + 1) + (x + 2) = 2x
+
+    def test_supported_orders_are_the_prime_powers_to_32(self):
+        assert SUPPORTED_ORDERS == (
+            2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            GF(6)
+        assert issubclass(UnsupportedField, ValueError)
+        for q in (1, 6, 33, 64, 10**100):
+            with pytest.raises(UnsupportedField):
+                GF(q)
 
     def test_mod5_inverse(self):
         F = field(5)

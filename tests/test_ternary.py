@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilingcalc import catalog, certificates
-from tilingcalc.fields import SUPPORTED_ORDERS, field
+from tilingcalc.fields import field
 from tilingcalc.plane import all_points, incident
 from tilingcalc.ternary import (
     GENERIC_LINE,
@@ -343,7 +343,8 @@ class TestPropagateOracle:
 
     def test_agrees_on_planted_matrices_with_single_seeds(self):
         rng = random.Random(20261020)
-        cases = [(q, rng.randint(3, 16), rng.randint(3, 22)) for q in SUPPORTED_ORDERS * 2]
+        # the orders up to nine, fixed: the seeded draw depends on this tuple
+        cases = [(q, rng.randint(3, 16), rng.randint(3, 22)) for q in (2, 3, 4, 5, 7, 8, 9) * 2]
         for q, m, n in cases + [(9, 16, 22)]:
             mat = planted_matrix(rng, m, n, q)
             i, j = rng.choice(mat.zero_cells())
