@@ -52,10 +52,8 @@ def normalize(F: GF, triple) -> tuple[int, int, int]:
 
 
 def dot(F: GF, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
+    mul = F.mul
+    return F.add(F.add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
 
 
 def cross(F: GF, a, b) -> tuple[int, int, int] | None:

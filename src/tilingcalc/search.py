@@ -11,10 +11,12 @@ order, and each holds a bitmask domain over the canonical point list that
 forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
 scanned lowest index first.  Pruning drops subtrees without solutions
 and subtrees that a collineation fixing the values chosen above maps onto
-an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996); the latter
-applies at every branch point until the elements those values fix hold a
-quadrangle, so the counterexample found is still the first one in that
-order.  SearchStats counts the values tried at branch points
+an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996), so the
+counterexample found is still the first one in that order.  The
+projective collineations cut at every branch point until the elements
+those values fix hold a quadrangle; past it, over a field of prime-power
+but not prime order, the field automorphisms still cut while the values
+lie in one subplane over a proper subfield.  SearchStats counts the values tried at branch points
 (nodesExpanded) and the values forced because a domain narrowed to one
 (propagationsForced).
 """
@@ -22,10 +24,12 @@ order.  SearchStats counts the values tried at branch points
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations, islice
+from math import lcm
 
 from .fields import UnsupportedField, field  # UnsupportedField is re-exported
-from .plane import Configuration, all_points, check_sizes, dot, incident
+from .plane import Configuration, all_points, check_sizes, incident, normalize
 from .ternary import IncidenceMatrix
 
 
@@ -58,13 +62,9 @@ def verify_configuration(mat: IncidenceMatrix, config: Configuration) -> bool:
     """True iff every +1 cell is an incidence and every -1 cell is not."""
     check_sizes(mat, config)
     F = field(config.q)
-    for i in range(mat.m):
-        for j in range(mat.n):
-            v = mat.rows()[i][j]
-            if v == 0:
-                continue
-            hit = incident(F, config.points[i], config.lines[j])
-            if hit != (v == 1):
+    for point, row in zip(config.points, mat.rows()):
+        for line, v in zip(config.lines, row):
+            if v and incident(F, point, line) != (v == 1):
                 return False
     return True
 
@@ -75,17 +75,37 @@ class _Budget(Exception):
 
 class _PlaneTables:
     """Per-order tables: the canonical point list, which also indexes the
-    lines, and for each index the bitmask of the indices incident with it
-    (the rows are symmetric, so one list serves points and lines)."""
+    lines; for each index the bitmask of the indices incident with it
+    (the rows are symmetric, so one list serves points and lines) and its
+    complement; and the index permutation of the Frobenius map x -> x^p
+    applied to every coordinate, which fixes the standard frame."""
 
     def __init__(self, q: int):
         F = field(q)
+        add, mul = F.add, F.mul
         self.universe = all_points(F)
+        scaled = {  # every nonzero triple to the index of its point
+            (mul(s, a), mul(s, b), mul(s, c)): i
+            for i, (a, b, c) in enumerate(self.universe)
+            for s in range(1, q)
+        }
         self.full = (1 << len(self.universe)) - 1
-        self.on = [
-            sum(1 << i for i, l in enumerate(self.universe) if dot(F, p, l) == 0)
-            for p in self.universe
-        ]
+        self.on = []
+        for a, b, c in self.universe:  # the line ax + by + cz = 0 holds ...
+            if a:  # ... (-b - tc, 1, t) for each t, and (-c, 0, 1)
+                u, v = (F.sub(0, b), 1, 0), (F.sub(0, c), 0, 1)
+            elif b:  # ... (1, -tc, t) for each t, and (0, -c, 1)
+                u, v = (1, 0, 0), (0, F.sub(0, c), 1)
+            else:  # ... (1, t, 0) for each t, and (0, 1, 0)
+                u, v = (1, 0, 0), (0, 1, 0)
+            mask = 1 << scaled[v]
+            for t in range(q):
+                w = (add(u[0], mul(t, v[0])), add(u[1], mul(t, v[1])), add(u[2], mul(t, v[2])))
+                mask |= 1 << scaled[w]
+            self.on.append(mask)
+        self.off = [self.full & ~mask for mask in self.on]
+        power = [reduce(mul, [x] * F.p) for x in range(q)]  # keeps 0 and 1
+        self.frobenius = [scaled[tuple(power[v] for v in p)] for p in self.universe]
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +160,141 @@ def _extended_closure(q: int, closure: tuple[int, int], side: int, x: int):
     return tuple(sets)
 
 
+def _frame(q: int, values) -> tuple[int, int, int, int] | None:
+    """Four points, no three collinear, of the closure of the values
+    (side, index) under joins and meets alone, or None when that closure
+    holds none; the closure is built only until it holds one."""
+    on = _plane_tables(q).on
+    sets = [0, 0]
+    new = list(values)
+    while new:
+        s, v = new.pop()
+        if sets[s] >> v & 1:
+            continue
+        new.extend((1 - s, (on[v] & on[w]).bit_length() - 1) for w in _bits(sets[s]))
+        if s == POINT:
+            for three in combinations(_bits(sets[POINT]), 3):
+                four = (*three, v)
+                if not any(on[a] & on[b] & on[c] for a, b, c in combinations(four, 3)):
+                    return four
+        sets[s] |= 1 << v
+    return None
+
+
+@lru_cache(maxsize=64)
+def _conjugate_frobenius(q: int, frame) -> tuple[list[int], list[int]]:
+    """g f g^-1 as index permutations of the points and of the lines, for
+    the Frobenius map f and the collineation g taking the standard frame
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1) to frame."""
+    F = field(q)
+    tables = _plane_tables(q)
+    uni, on = tables.universe, tables.on
+    index = {p: i for i, p in enumerate(uni)}
+
+    def adjugate(A):  # proportional to the inverse
+        return [
+            [
+                F.sub(
+                    F.mul(A[(j + 1) % 3][(i + 1) % 3], A[(j + 2) % 3][(i + 2) % 3]),
+                    F.mul(A[(j + 1) % 3][(i + 2) % 3], A[(j + 2) % 3][(i + 1) % 3]),
+                )
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+
+    def apply(A, p):
+        return [F.add(F.add(F.mul(r[0], p[0]), F.mul(r[1], p[1])), F.mul(r[2], p[2])) for r in A]
+
+    *basis, unit = (uni[i] for i in frame)
+    M = [list(row) for row in zip(*basis)]  # columns: the first three points
+    scale = apply(adjugate(M), unit)  # g = M diag(scale) takes (1, 1, 1) to unit
+    g = [[F.mul(x, s) for x, s in zip(row, scale)] for row in M]
+    g_inv = adjugate(g)
+    to_frame = [index[normalize(F, apply(g, p))] for p in uni]
+    from_frame = [index[normalize(F, apply(g_inv, p))] for p in uni]
+    points = [to_frame[tables.frobenius[i]] for i in from_frame]
+    first_two = [list(islice(_bits(on[c]), 2)) for c in range(len(uni))]
+    lines = [(on[points[a]] & on[points[b]]).bit_length() - 1 for a, b in first_two]
+    return points, lines
+
+
+class _FrobeniusCells:
+    """The cells past the first quadrangle for q = p^k with k > 1: the
+    orbits, on each side, of the group generated by h^d for h = g f g^-1
+    (see _conjugate_frobenius), where g takes the standard frame to frame
+    and the values chosen so far lie in g PG(2, p^d); see _Searcher.
+    reps holds the lowest element of each orbit, and fixed the elements
+    of g PG(2, p^d)."""
+
+    __slots__ = ("q", "frame", "d", "h", "reps", "fixed")
+
+    def __init__(self, q: int, frame, d: int):
+        self.q, self.frame, self.d = q, frame, d
+        self.h = _conjugate_frobenius(q, frame)
+        self.reps, self.fixed = [], []
+        for h in self.h:
+            step = h
+            for _ in range(d - 1):
+                step = [h[y] for y in step]
+            reps = fixed = seen = 0
+            for x in range(len(h)):
+                if seen >> x & 1:
+                    continue
+                reps |= 1 << x
+                fixed |= (step[x] == x) << x
+                y = x
+                while not seen >> y & 1:
+                    seen |= 1 << y
+                    y = step[y]
+            self.reps.append(reps)
+            self.fixed.append(fixed)
+
+    def extended(self, side: int, x: int):
+        """The cells once value x is chosen on this side, or None when the
+        group fixing the chosen values is trivial."""
+        if self.fixed[side] >> x & 1:
+            return self
+        h, e, y = self.h[side], 1, self.h[side][x]
+        while y != x:  # x lies in g PG(2, p^e) for its orbit length e under h
+            e, y = e + 1, h[y]
+        return _frobenius_state(self.q, self.frame, lcm(self.d, e))
+
+
+@lru_cache(maxsize=256)
+def _frobenius_state(q: int, frame, d: int) -> _FrobeniusCells | None:
+    """The cells for values in the subplane over GF(p^d) that the frame
+    spans, or None when that subfield is GF(q) and the group trivial."""
+    return None if q == field(q).p ** d else _FrobeniusCells(q, frame, d)
+
+
+@lru_cache(maxsize=256)
+def _frobenius_cells(q: int, chosen: tuple) -> _FrobeniusCells | None:
+    """The cells below the branch point whose chosen values first close to
+    a quadrangle, or None when q is prime, the join-and-meet closure of
+    chosen holds no frame or the group fixing chosen is trivial."""
+    frame = None if q == field(q).p else _frame(q, chosen)
+    cells = frame and _frobenius_state(q, frame, 1)
+    for side, x in chosen:
+        if cells is None:
+            break
+        cells = cells.extended(side, x)
+    return cells
+
+
+def _descend(q: int, closure, chosen: tuple, side: int, x: int):
+    """The closure (not None) below a branch point that chose value x on
+    this side, and the values chosen down to it, which are kept only while
+    the closure is a pair of masks (they pick the frame past it)."""
+    if type(closure) is tuple:
+        chosen += ((side, x),)
+        below = _extended_closure(q, closure, side, x)
+        if below is None:
+            return _frobenius_cells(q, chosen), ()
+        return below, chosen
+    return closure.extended(side, x), ()
+
+
 class _Searcher:
     """One backtracking search with forward checking over point and line
     variables.
@@ -151,22 +306,24 @@ class _Searcher:
     variable is assigned exactly when its domain has one value.  Fixing a
     value narrows every neighbour's domain to the values that agree with
     it, and a neighbour left with one value is fixed in turn; an empty
-    domain cuts the branch.  forbid_conclusion adds the requirement that
-    point 0 misses line 0 (the counterexample phase) as one more -1 cell.
+    domain cuts the branch.  Each neighbour comes with the mask table of
+    its cell, on for a +1 cell and off for a -1 cell, so narrowing is one
+    AND per neighbour.  forbid_conclusion adds the requirement that point
+    0 misses line 0 (the counterexample phase) as one more -1 cell.
 
     Symmetry breaking.  Every constraint is an incidence or a
-    non-incidence, so PGL(3, q) maps solutions to solutions.  At a branch
+    non-incidence, so PΓL(3, q) maps solutions to solutions.  At a branch
     point, let S be the values chosen at the branch points above it on
-    the current path and G the group fixing each of them.  The closure T
-    of S is a pair of bitmasks (points, lines) of elements that G fixes:
+    the current path and G the group of collineations in PGL(3, q) fixing
+    each of them.  The closure T of S is a pair of bitmasks (points,
+    lines) of elements that G fixes:
     it adds the join of every two points and the meet of every two lines,
     every point of a line holding three of its points, and every line
     through a point on three of its lines, until nothing changes.  (The
     stabilizer of a line induces PGL(2, q) on it, which is sharply
     3-transitive, so G fixes each point of such a line.)  Once T holds a
-    quadrangle G is trivial, and the closure is None: this branch point
-    and every one below it on the path scan their whole domain.  (Four
-    lines, no three concurrent, meet in a quadrangle, so the points
+    quadrangle G is trivial, and the Frobenius cells below take over.
+    (Four lines, no three concurrent, meet in a quadrangle, so the points
     tell.)  T is closed under joins, so it holds a quadrangle exactly when
     it has four points and no line of T holds all of them but one; a side
     with more than q + 2 elements holds one.  Otherwise T is, up to
@@ -197,7 +354,35 @@ class _Searcher:
     branch points above, the same values at every variable narrowing
     fixed (those are the only values the branch values above allow) and
     y here: a lower solution.  So every verdict and every counterexample
-    is that of the unbroken search.
+    is that of the unbroken search.  The argument holds for any group of
+    collineations that fixes S, one branch point at a time.
+
+    Frobenius cells.  Past the quadrangle, for q = p^k with k > 1, the
+    group G' fixing S in PΓL(3, q) = PGL(3, q) x| Gal(GF(q)/GF(p))
+    (Hirschfeld 1998) need not be trivial; the Galois group is generated
+    by the Frobenius map f: x -> x^p on every coordinate.  The frame is
+    taken from the closure J of S under joins and meets alone, not from
+    T: G' fixes J, since it keeps joins and meets, but not T's filled
+    lines and pencils, since f fixes (1, 0, 0), (0, 1, 0) and (1, 1, 0)
+    but moves each point (1, t, 0) of their line with t outside GF(p).
+    (Were J without a quadrangle, its points would lie on one line and
+    one more point, and filling keeps that, so J holds a frame once T
+    holds a quadrangle.)  Let g take the standard frame (1, 0, 0),
+    (0, 1, 0), (0, 0, 1), (1, 1, 1) to J's frame.  PGL(3, q) is sharply
+    transitive on ordered frames and f fixes the standard one, so the
+    elements fixing J's frame are the g f^e g^-1, and such an element
+    fixes a value v exactly when f^e fixes the normalized coordinates of
+    g^-1 v.  So G' = <g f^d g^-1> for the subfield K = GF(p^d) those
+    coordinates generate over all of S: S lies in the subplane
+    g PG(2, K), and G' fixes each element of it.  A value chosen inside
+    the subplane keeps d; one outside it raises d to the least common
+    multiple with its own degree, and at d = k G' is trivial and the
+    closure None, so the branch points below scan their whole domain
+    (at once when k is prime).  Every domain is a union of orbits of G',
+    since narrowing by values that G' fixes keeps a domain invariant and
+    an invariant domain of one value is a fixed value; so the branch
+    point scans the lowest element of each orbit (_FrobeniusCells) inside
+    its domain.  The tests check the cells against all of PΓL(3, 4).
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
@@ -205,36 +390,37 @@ class _Searcher:
         self.q = q
         self.stats = stats
         self.budget = node_budget
-        grid = mat.rows()
-        m, n = mat.m, mat.n
-        self.cells = (
-            [[(j, grid[i][j]) for j in range(n) if grid[i][j]] for i in range(m)],
-            [[(i, grid[i][j]) for i in range(m) if grid[i][j]] for j in range(n)],
+        rows = mat.rows()
+        masks = (None, self.tables.on, self.tables.off)  # by cell: +1 on, -1 off
+        self.cells = tuple(
+            [[(y, masks[v]) for y, v in enumerate(line) if v] for line in lines]
+            for lines in (rows, zip(*rows))
         )
-        self.order = sorted(
-            ((side, x) for side in (POINT, LINE) for x in range(len(self.cells[side]))),
-            key=lambda v: (-len(self.cells[v[0]][v[1]]), v),
-        )
+        self.order = [
+            (side, x)
+            for _, side, x in sorted(
+                (-len(c), side, x) for side in (POINT, LINE) for x, c in enumerate(self.cells[side])
+            )
+        ]
         if forbid_conclusion:  # added after the order, which it must not change
-            self.cells[POINT][0].append((0, -1))
-            self.cells[LINE][0].append((0, -1))
-        full = self.tables.full
-        self.dom = ([full] * m, [full] * n)
+            self.cells[POINT][0].append((0, self.tables.off))
+            self.cells[LINE][0].append((0, self.tables.off))
+        self.dom = tuple([self.tables.full] * len(c) for c in self.cells)
 
     def _narrow(self, side: int, x: int, trail: list) -> bool:
         """Propagate the one value of variable x: AND each neighbour's
-        domain with its incidence mask (+1 cell) or the complement (-1
-        cell), fixing neighbours left with one value.  Every old domain
-        goes on the trail; False when a domain empties."""
-        on = self.tables.on
+        domain with its mask for that value (see __init__), fixing
+        neighbours left with one value.  Every old domain goes on the
+        trail; False when a domain empties."""
+        dom, cells, stats = self.dom, self.cells, self.stats
         fixed = [(side, x)]
         while fixed:
             side, x = fixed.pop()
-            mask = on[self.dom[side][x].bit_length() - 1]
-            doms = self.dom[1 - side]
-            for y, sign in self.cells[side][x]:
+            value = dom[side][x].bit_length() - 1
+            doms = dom[1 - side]
+            for y, masks in cells[side][x]:
                 old = doms[y]
-                new = old & mask if sign == 1 else old & ~mask
+                new = old & masks[value]
                 if new == old:
                     continue
                 if not new:
@@ -242,7 +428,7 @@ class _Searcher:
                 trail.append((doms, y, old))
                 doms[y] = new
                 if not new & (new - 1):
-                    self.stats.propagations_forced += 1
+                    stats.propagations_forced += 1
                     fixed.append((1 - side, y))
         return True
 
@@ -252,6 +438,8 @@ class _Searcher:
         class docstring."""
         if closure is None:
             return domain
+        if type(closure) is _FrobeniusCells:
+            return domain & closure.reps[side]
         on = self.tables.on
         same = closure[side]
         cells = [domain & ~same]
@@ -263,11 +451,23 @@ class _Searcher:
         return reps
 
     def run(self) -> Configuration | None:
-        return self._solve(0, (0, 0))  # nothing chosen: the empty closure
+        """The first solution, or None."""
+        if not self.satisfiable():
+            return None
+        uni = self.tables.universe
+        points, lines = (
+            tuple(uni[d.bit_length() - 1] for d in doms) for doms in self.dom
+        )
+        return Configuration(self.q, points, lines)
 
-    def _solve(self, pos: int, closure) -> Configuration | None:
-        """The first solution below this point, if any; closure is that of
-        the values chosen at the branch points above, or None."""
+    def satisfiable(self) -> bool:
+        """Whether a solution exists; the domains then hold the first one."""
+        return self._solve(0, (0, 0), ())  # nothing chosen: the empty closure
+
+    def _solve(self, pos: int, closure, chosen: tuple) -> bool:
+        """Whether a solution lies below this point, leaving the first one
+        in the domains; closure and chosen are those of the values chosen
+        at the branch points above (see _descend)."""
         while pos < len(self.order):
             side, x = self.order[pos]
             doms = self.dom[side]
@@ -285,20 +485,16 @@ class _Searcher:
                 trail = [(doms, x, doms[x])]
                 doms[x] = bit
                 if self._narrow(side, x, trail):
-                    below = None if closure is None else _extended_closure(
-                        self.q, closure, side, bit.bit_length() - 1
-                    )
-                    found = self._solve(pos + 1, below)
-                    if found is not None:
-                        return found
+                    if closure is None:
+                        below, here = None, ()
+                    else:
+                        below, here = _descend(self.q, closure, chosen, side, bit.bit_length() - 1)
+                    if self._solve(pos + 1, below, here):
+                        return True
                 for d, y, old in reversed(trail):
                     d[y] = old
-            return None
-        uni = self.tables.universe
-        points, lines = (
-            tuple(uni[d.bit_length() - 1] for d in doms) for doms in self.dom
-        )
-        return Configuration(self.q, points, lines)
+            return False
+        return True
 
 
 def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Verdict:
@@ -316,8 +512,7 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
             ):
                 raise AssertionError("the search returned no counterexample")
             return Verdict("counterexample", counterexample, stats)
-        witness = _Searcher(mat, q, False, stats, node_budget).run()
-        if witness is None:
+        if not _Searcher(mat, q, False, stats, node_budget).satisfiable():
             return Verdict("vacuous", None, stats)
         return Verdict("true", None, stats)
     except _Budget:

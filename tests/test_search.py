@@ -1,39 +1,53 @@
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tilingcalc
 from tilingcalc.catalog import (
+    axiom_matrix,
     fano_closure_matrix,
     hexagon_closure_matrix,
     hexagon_counterexample,
+    hexagon_would_be_matrix,
     line_count_matrix,
     pappus_base_matrix,
     warmup_matrix,
 )
-from tilingcalc.complexes import desargues_tetrahedron, nine_gon_grope, non_grope_complex
-from tilingcalc.fields import field
+from tilingcalc.complexes import (
+    bijective_pappus_torus,
+    desargues_tetrahedron,
+    nine_gon_grope,
+    non_grope_complex,
+    one_line_complex,
+)
+from tilingcalc.fields import SUPPORTED_ORDERS, field
 from tilingcalc.plane import (
     Configuration,
     DimensionMismatch,
     all_points,
+    dot,
     incident,
     join,
     normalize,
 )
+from tilingcalc import search
 from tilingcalc.search import (
     LINE,
     POINT,
     SearchStats,
     UnsupportedField,
     _bits,
+    _descend,
     _extended_closure,
+    _FrobeniusCells,
     _plane_tables,
     _Searcher,
     check_theorem,
@@ -184,6 +198,33 @@ class TestSoundnessAndStats:
         v = check_theorem(generate_theorem(desargues_tetrahedron()), 9, node_budget=100)
         assert v.outcome == "resource_exceeded"
         assert v.counterexample is None
+
+
+def frobenius(F, triple):
+    """Each coordinate raised to the power p, the characteristic, by
+    repeated multiplication."""
+    def power(x):
+        y = 1
+        for _ in range(F.p):
+            y = F.mul(y, x)
+        return y
+
+    return tuple(map(power, triple))
+
+
+class TestPlaneTables:
+    @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+    def test_masks_are_those_of_the_dot_product(self, q):
+        # the tables list each line's q + 1 points; asking dot about every
+        # point-line pair must give the same masks
+        F = field(q)
+        tables = _plane_tables(q)
+        uni = tables.universe
+        assert tables.on == [
+            sum(1 << i for i, l in enumerate(uni) if dot(F, p, l) == 0) for p in uni
+        ]
+        assert tables.off == [tables.full & ~mask for mask in tables.on]
+        assert [uni[i] for i in tables.frobenius] == [frobenius(F, p) for p in uni]
 
 
 class TestVacuous:
@@ -422,10 +463,30 @@ def collineation_group(q: int):
     return list(group), through, joins
 
 
-def stabilizer_orbits(q: int, fixed) -> list:
-    """The orbits on points and on lines of the collineations fixing each
-    (side, index) value in fixed."""
+@functools.lru_cache(maxsize=None)
+def semilinear_group(q: int):
+    """PΓL(3, q): collineation_group(q) closed under the Frobenius map
+    x -> x^p on every coordinate; the group order is checked."""
     group, through, joins = collineation_group(q)
+    F = field(q)
+    pts = all_points(F)
+    index = {p: i for i, p in enumerate(pts)}
+    f = tuple(index[frobenius(F, p)] for p in pts)
+    closed, frontier = set(group), group
+    while frontier:
+        new = {tuple(map(f.__getitem__, g)) for g in frontier} - closed
+        closed |= new
+        frontier = list(new)
+    k = round(math.log(q, F.p))
+    assert len(closed) == k * len(group)
+    return list(closed), through, joins
+
+
+def stabilizer_orbits(q: int, fixed, semilinear: bool = False) -> list:
+    """The orbits on points and on lines of the collineations (in PΓL(3, q)
+    when semilinear, else in PGL(3, q)) fixing each (side, index) value in
+    fixed."""
+    group, through, joins = (semilinear_group if semilinear else collineation_group)(q)
     stab = group
     for side, v in fixed:
         if side == POINT:
@@ -515,3 +576,178 @@ class TestOrbitOracle:
             # more than three points or lines: a filled line or pencil
             accepted += closure is not None and max(map(int.bit_count, closure)) > 3
         assert accepted >= filled
+
+
+def search_cells(q: int, closure, side: int) -> list:
+    """The cells of the search's closure on this side: one value of each is
+    scanned.  Frobenius cells are the orbits of h^d; the cells of a pair
+    of masks are told apart by _orbit_representatives on two values."""
+    n = q * q + q + 1
+    if closure is None:
+        return [frozenset([x]) for x in range(n)]
+    cells, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        if isinstance(closure, _FrobeniusCells):
+            cell, y = {x}, x
+            while True:
+                for _ in range(closure.d):
+                    y = closure.h[side][y]
+                if y == x:
+                    break
+                cell.add(y)
+        else:
+            searcher = _Searcher(IncidenceMatrix([[0]]), q, False, SearchStats(), 0)
+            cell = {
+                y for y in range(x, n)
+                if bin(searcher._orbit_representatives(closure, side, 1 << x | 1 << y)).count("1") == 1
+            }
+        cells.append(frozenset(cell))
+        seen |= cell
+    return cells
+
+
+class TestSemilinearOrbitOracle:
+    """Past the first quadrangle, at q = 4, every cell of the search lies
+    in one orbit of the group of collineations and field automorphisms
+    (PΓL(3, 4), order 120,960) fixing the chosen values, and where the
+    join-and-meet closure of those values holds a frame the cells are
+    exactly those orbits."""
+
+    @staticmethod
+    def sequence(rng, q):
+        """Five to eight values: four random ones, which often close to a
+        frame, then each the join or meet of two earlier ones, incident
+        with an earlier one, or random, so that the values often stay
+        inside the subplane the frame spans for a while."""
+        on = _plane_tables(q).on
+        seq = []
+        for _ in range(rng.randint(5, 8)):
+            r = rng.random()
+            pairs = [
+                (side, pair)
+                for side in (POINT, LINE)
+                for pair in itertools.combinations(sorted({v for s, v in seq if s == side}), 2)
+            ]
+            if len(seq) >= 4 and pairs and r < 0.5:
+                side, (a, b) = rng.choice(pairs)
+                seq.append((1 - side, (on[a] & on[b]).bit_length() - 1))
+            elif len(seq) >= 4 and r < 0.8:
+                side, v = rng.choice(seq)
+                seq.append((1 - side, rng.choice(list(_bits(on[v])))))
+            else:
+                seq.append((rng.choice((POINT, LINE)), rng.randrange(q * q + q + 1)))
+        return seq
+
+    def test_seeded_sequences(self):
+        q = 4
+        rng = random.Random(2804)
+        frames = gave_up = 0
+        for _ in range(100):
+            seq = self.sequence(rng, q)
+            closure, chosen = (0, 0), ()
+            for k, value in enumerate(seq, 1):
+                if closure is not None:
+                    closure, chosen = _descend(q, closure, chosen, *value)
+                if type(closure) is tuple:  # before the quadrangle: TestOrbitOracle
+                    continue
+                orbits = stabilizer_orbits(q, frozenset(seq[:k]), semilinear=True)
+                for side in (POINT, LINE):
+                    cells = search_cells(q, closure, side)
+                    assert all(any(c <= o for o in orbits[side]) for c in cells), (seq[:k], side)
+                    if closure is not None:  # the frame comes from the closure
+                        assert sorted(map(sorted, cells)) == sorted(map(sorted, orbits[side]))
+                    else:  # the search gives up only where the group is trivial
+                        assert all(len(o) == 1 for o in orbits[side]), (seq[:k], side)
+                frames += closure is not None
+                gave_up += closure is None
+        assert frames > 80 and gave_up > 30
+
+
+GENERATED = {
+    "desargues": desargues_tetrahedron,
+    "one-line": one_line_complex,
+    "pappus-torus": bijective_pappus_torus,
+    "nine-gon": nine_gon_grope,
+    "non-grope": non_grope_complex,
+}
+CATALOG = {
+    "axiom": axiom_matrix,
+    "warm-up": warmup_matrix,
+    "line-count-2": lambda: line_count_matrix(2),
+    "line-count-3": lambda: line_count_matrix(3),
+    "fano": fano_closure_matrix,
+    "hexagon": hexagon_closure_matrix,
+    "would-be-hexagon": hexagon_would_be_matrix,
+    "pappus": pappus_base_matrix,
+}
+
+
+class TestFrobeniusCells:
+    """The cut past the first quadrangle keeps every verdict and first
+    counterexample, over the orders 4, 8 and 9 where it applies."""
+
+    @staticmethod
+    def outcomes(cases, budget):
+        return [
+            (v.outcome, v.counterexample, v.stats.nodes_expanded)
+            for v in (check_theorem(mat, q, node_budget=budget) for mat, q in cases)
+        ]
+
+    def test_agrees_with_plain_search(self, monkeypatch):
+        # random matrices rarely branch past a quadrangle, so these keep
+        # about four in five cells of a generated theorem; the plain search
+        # (every cut off) decides most of them within its budget
+        rng = random.Random(28)
+        bases = [generate_theorem(build()).rows() for build in GENERATED.values()]
+        cases = []
+        for _ in range(300):
+            rows = [[v if rng.random() < 0.8 else 0 for v in row] for row in rng.choice(bases)]
+            cases.append((IncidenceMatrix(rows), rng.choice([4, 8, 9])))
+        pruned = self.outcomes(cases, 12_000)
+        monkeypatch.setattr(search, "_frobenius_cells", lambda q, chosen: None)
+        projective = self.outcomes(cases, 12_000)
+        monkeypatch.setattr(
+            _Searcher, "_orbit_representatives", lambda self, closure, side, domain: domain
+        )
+        plain = self.outcomes(cases, 5_000)
+        decided = cut = 0
+        for (mat, q), a, b, c in zip(cases, pruned, projective, plain):
+            if c[0] != "resource_exceeded":
+                assert a[:2] == c[:2], (mat.rows(), q)
+                decided += 1
+                cut += a[2] < b[2]
+        assert decided >= 250 and cut >= 30
+
+    def test_catalog_and_generated_theorems(self, monkeypatch):
+        # the plain search decides few of these at orders 8 and 9, so each
+        # is held to the search without the Frobenius cells, which
+        # TestSymmetryBreaking holds to the plain one
+        cases = [
+            (build() if name in CATALOG else generate_theorem(build()), q)
+            for name, build in {**CATALOG, **GENERATED}.items()
+            for q in (4, 8, 9)
+        ]
+        pruned = self.outcomes(cases, 12_000)
+        monkeypatch.setattr(search, "_frobenius_cells", lambda q, chosen: None)
+        projective = self.outcomes(cases, 12_000)
+        for (mat, q), a, b in zip(cases, pruned, projective):
+            assert a[:2] == b[:2] and a[2] <= b[2], (mat.rows(), q)
+        assert sum(a[2] for a in pruned) < sum(b[2] for b in projective) // 2
+
+    @pytest.mark.parametrize(
+        "build,q,ceiling",
+        [
+            pytest.param(nine_gon_grope, 8, 1_000, id="nine-gon-8"),
+            pytest.param(nine_gon_grope, 9, 2_200, id="nine-gon-9"),
+            pytest.param(non_grope_complex, 8, 1_600, id="non-grope-8"),
+        ],
+    )
+    def test_node_ceiling(self, build, q, ceiling):
+        # without the Frobenius cells these take 2,373, 4,054 and 4,432 nodes
+        mat = generate_theorem(build())
+        start = time.perf_counter()
+        verdict = check_theorem(mat, q, node_budget=ceiling)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.outcome == "true"
