@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -28,7 +27,7 @@ from tilingcalc.complexes import (
     non_grope_complex,
     one_line_complex,
 )
-from tilingcalc.fields import SUPPORTED_ORDERS, field
+from tilingcalc.fields import SUPPORTED_ORDERS, field, prime_power
 from tilingcalc.plane import (
     Configuration,
     DimensionMismatch,
@@ -477,8 +476,7 @@ def semilinear_group(q: int):
         new = {tuple(map(f.__getitem__, g)) for g in frontier} - closed
         closed |= new
         frontier = list(new)
-    k = round(math.log(q, F.p))
-    assert len(closed) == k * len(group)
+    assert len(closed) == prime_power(q)[1] * len(group)
     return list(closed), through, joins
 
 
@@ -579,30 +577,20 @@ class TestOrbitOracle:
 
 
 def search_cells(q: int, closure, side: int) -> list:
-    """The cells of the search's closure on this side: one value of each is
-    scanned.  Frobenius cells are the orbits of h^d; the cells of a pair
-    of masks are told apart by _orbit_representatives on two values."""
-    n = q * q + q + 1
-    if closure is None:
-        return [frozenset([x]) for x in range(n)]
+    """The cells past the first quadrangle on this side, of which the
+    search scans one value each: the orbits of h^d for Frobenius cells,
+    and single values once the cut has ended (closure None)."""
     cells, seen = [], set()
-    for x in range(n):
+    for x in range(q * q + q + 1):
         if x in seen:
             continue
-        if isinstance(closure, _FrobeniusCells):
-            cell, y = {x}, x
-            while True:
-                for _ in range(closure.d):
-                    y = closure.h[side][y]
-                if y == x:
-                    break
-                cell.add(y)
-        else:
-            searcher = _Searcher(IncidenceMatrix([[0]]), q, False, SearchStats(), 0)
-            cell = {
-                y for y in range(x, n)
-                if bin(searcher._orbit_representatives(closure, side, 1 << x | 1 << y)).count("1") == 1
-            }
+        cell, y = {x}, x
+        while closure is not None:
+            for _ in range(closure.d):
+                y = closure.h[side][y]
+            if y == x:
+                break
+            cell.add(y)
         cells.append(frozenset(cell))
         seen |= cell
     return cells
