@@ -16,9 +16,9 @@ counterexample found is still the first one in that order.  The
 projective collineations cut at every branch point until the elements
 those values fix hold a quadrangle; past it, over a field of prime-power
 but not prime order, the field automorphisms still cut while the values
-lie in one subplane over a proper subfield.  SearchStats counts the values tried at branch points
-(nodesExpanded) and the values forced because a domain narrowed to one
-(propagationsForced).
+lie in one subplane over a proper subfield.  SearchStats counts the
+values tried at branch points (nodesExpanded) and the values forced
+because a domain narrowed to one (propagationsForced).
 """
 
 from __future__ import annotations
@@ -219,46 +219,73 @@ def _conjugate_frobenius(q: int, frame) -> tuple[list[int], list[int]]:
     return points, lines
 
 
+class _ProjectiveCells:
+    """The cells before the first quadrangle: chosen holds the values
+    chosen so far (past it they pick the frame), closure their closure T
+    and reps the lowest element of each cell per side; see _Searcher."""
+
+    __slots__ = ("q", "closure", "chosen", "reps")
+
+    def __init__(self, q: int, closure: tuple[int, int], chosen: tuple):
+        self.q, self.closure, self.chosen = q, closure, chosen
+        self.reps = _closure_reps(q, closure)
+
+    def extended(self, side: int, x: int):
+        """The cells once value x is chosen on this side."""
+        chosen = self.chosen + ((side, x),)
+        below = _extended_closure(self.q, self.closure, side, x)
+        if below is None:
+            return _frobenius_cells(self.q, chosen)
+        return _ProjectiveCells(self.q, below, chosen)
+
+
+@lru_cache(maxsize=4096)
+def _closure_reps(q: int, closure: tuple[int, int]) -> tuple[int, int]:
+    """Per side, each element of the closure and the lowest value of each
+    cell, the values with the same incidences on the closure's other side."""
+    tables = _plane_tables(q)
+    out = []
+    for side in (POINT, LINE):
+        lowest = {}  # each cell by its incidences, to its lowest value
+        for x in _bits(tables.full & ~closure[side]):
+            lowest.setdefault(tables.on[x] & closure[1 - side], x)
+        out.append(reduce(int.__or__, (1 << x for x in lowest.values()), closure[side]))
+    return tuple(out)
+
+
 class _FrobeniusCells:
     """The cells past the first quadrangle for q = p^k with k > 1: the
     orbits, on each side, of the group generated by h^d for h = g f g^-1
     (see _conjugate_frobenius), where g takes the standard frame to frame
     and the values chosen so far lie in g PG(2, p^d); see _Searcher.
-    reps holds the lowest element of each orbit, and fixed the elements
-    of g PG(2, p^d)."""
+    reps holds the lowest element of each orbit."""
 
-    __slots__ = ("q", "frame", "d", "h", "reps", "fixed")
+    __slots__ = ("q", "frame", "d", "h", "reps")
 
     def __init__(self, q: int, frame, d: int):
         self.q, self.frame, self.d = q, frame, d
         self.h = _conjugate_frobenius(q, frame)
-        self.reps, self.fixed = [], []
+        self.reps = []
         for h in self.h:
             step = h
             for _ in range(d - 1):
                 step = [h[y] for y in step]
-            reps = fixed = seen = 0
-            for x in range(len(h)):
-                if seen >> x & 1:
-                    continue
-                reps |= 1 << x
-                fixed |= (step[x] == x) << x
-                y = x
-                while not seen >> y & 1:
-                    seen |= 1 << y
+            reps = 0
+            for x in range(len(h)):  # the lowest of its orbit: back at x before going lower
+                y = step[x]
+                while y > x:
                     y = step[y]
+                reps |= (y == x) << x
             self.reps.append(reps)
-            self.fixed.append(fixed)
 
     def extended(self, side: int, x: int):
         """The cells once value x is chosen on this side, or None when the
         group fixing the chosen values is trivial."""
-        if self.fixed[side] >> x & 1:
-            return self
         h, e, y = self.h[side], 1, self.h[side][x]
         while y != x:  # x lies in g PG(2, p^e) for its orbit length e under h
             e, y = e + 1, h[y]
-        return _frobenius_state(self.q, self.frame, lcm(self.d, e))
+        d = lcm(self.d, e)  # h^d fixes x exactly when e divides d
+        return self if d == self.d else _frobenius_state(self.q, self.frame, d)
 
 
 @lru_cache(maxsize=256)
@@ -280,19 +307,6 @@ def _frobenius_cells(q: int, chosen: tuple) -> _FrobeniusCells | None:
             break
         cells = cells.extended(side, x)
     return cells
-
-
-def _descend(q: int, closure, chosen: tuple, side: int, x: int):
-    """The closure (not None) below a branch point that chose value x on
-    this side, and the values chosen down to it, which are kept only while
-    the closure is a pair of masks (they pick the frame past it)."""
-    if type(closure) is tuple:
-        chosen += ((side, x),)
-        below = _extended_closure(q, closure, side, x)
-        if below is None:
-            return _frobenius_cells(q, chosen), ()
-        return below, chosen
-    return closure.extended(side, x), ()
 
 
 class _Searcher:
@@ -342,20 +356,8 @@ class _Searcher:
     incidence with each element of T on the other side.  (G keeps
     equality and incidence, so an orbit never spans two cells; that no
     cell holds two orbits is checked against the whole group for q <= 4
-    in the tests.)  The branch point scans the lowest value of each cell
-    inside its domain.  With nothing chosen that is one value; after one
-    value v it is at most two, {v} and the rest on v's side or the values
-    on v and the rest on the other.
-
-    The lowest solution in the search order survives.  Were its value x
-    at some branch point not the lowest of its cell inside the domain,
-    the lowest y < x would lie in the same orbit of G, and some g in G
-    with g(x) = y maps the solution to one with the same values at the
-    branch points above, the same values at every variable narrowing
-    fixed (those are the only values the branch values above allow) and
-    y here: a lower solution.  So every verdict and every counterexample
-    is that of the unbroken search.  The argument holds for any group of
-    collineations that fixes S, one branch point at a time.
+    in the tests.)  _ProjectiveCells holds them, with the lowest
+    element of each cell (reps) memoised per closure.
 
     Frobenius cells.  Past the quadrangle, for q = p^k with k > 1, the
     group G' fixing S in PΓL(3, q) = PGL(3, q) x| Gal(GF(q)/GF(p))
@@ -377,12 +379,29 @@ class _Searcher:
     g PG(2, K), and G' fixes each element of it.  A value chosen inside
     the subplane keeps d; one outside it raises d to the least common
     multiple with its own degree, and at d = k G' is trivial and the
-    closure None, so the branch points below scan their whole domain
-    (at once when k is prime).  Every domain is a union of orbits of G',
-    since narrowing by values that G' fixes keeps a domain invariant and
-    an invariant domain of one value is a fixed value; so the branch
-    point scans the lowest element of each orbit (_FrobeniusCells) inside
-    its domain.  The tests check the cells against all of PΓL(3, 4).
+    cells None (at once when k is prime).  _FrobeniusCells holds the
+    orbits of G' and their lowest elements (reps); the tests check them
+    against all of PΓL(3, 4).
+
+    One scan rule.  In both phases every domain at a branch point is a
+    union of orbits of the group fixing S (G, then G'): domains start
+    full, narrowing ANDs them with the elements incident, or not, with
+    values fixed by the group (which shrinks as S grows), and an
+    invariant domain of one value is a fixed value.  So the branch point
+    scans its domain ANDed with reps, one value per orbit inside it, or
+    the whole domain once the group is trivial.  With nothing chosen
+    that is one value; after one value v it is at most two, {v} and the
+    rest on v's side or the values on v and the rest on the other.
+
+    The lowest solution in the search order survives.  Were its value x
+    at some branch point not the lowest of its orbit, the lowest y < x
+    of that orbit would lie in the domain too, and some g in the group
+    with g(x) = y maps the solution to one with the same values at the
+    branch points above, the same values at every variable narrowing
+    fixed (those are the only values the branch values above allow) and
+    y here: a lower solution.  So every verdict and every counterexample
+    is that of the unbroken search.  The argument holds for any group of
+    collineations that fixes S, one branch point at a time.
     """
 
     def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
@@ -432,24 +451,6 @@ class _Searcher:
                     fixed.append((1 - side, y))
         return True
 
-    def _orbit_representatives(self, closure, side: int, domain: int) -> int:
-        """The lowest value in the domain of each cell of the closure on
-        this side, or the whole domain when the closure is None; see the
-        class docstring."""
-        if closure is None:
-            return domain
-        if type(closure) is _FrobeniusCells:
-            return domain & closure.reps[side]
-        on = self.tables.on
-        same = closure[side]
-        cells = [domain & ~same]
-        for c in _bits(closure[1 - side]):
-            cells = [part for cell in cells for part in (cell & on[c], cell & ~on[c]) if part]
-        reps = domain & same
-        for cell in cells:
-            reps |= cell & -cell
-        return reps
-
     def run(self) -> Configuration | None:
         """The first solution, or None."""
         if not self.satisfiable():
@@ -462,12 +463,12 @@ class _Searcher:
 
     def satisfiable(self) -> bool:
         """Whether a solution exists; the domains then hold the first one."""
-        return self._solve(0, (0, 0), ())  # nothing chosen: the empty closure
+        return self._solve(0, _ProjectiveCells(self.q, (0, 0), ()))  # nothing chosen
 
-    def _solve(self, pos: int, closure, chosen: tuple) -> bool:
+    def _solve(self, pos: int, cells) -> bool:
         """Whether a solution lies below this point, leaving the first one
-        in the domains; closure and chosen are those of the values chosen
-        at the branch points above (see _descend)."""
+        in the domains; cells are those of the values chosen at the branch
+        points above, or None once the cut has ended."""
         while pos < len(self.order):
             side, x = self.order[pos]
             doms = self.dom[side]
@@ -475,7 +476,8 @@ class _Searcher:
             if not domain & (domain - 1):  # one value: already fixed
                 pos += 1
                 continue
-            domain = self._orbit_representatives(closure, side, domain)
+            if cells is not None:  # one value per orbit; see the class docstring
+                domain &= cells.reps[side]
             while domain:
                 bit = domain & -domain  # lowest index first
                 domain ^= bit
@@ -485,11 +487,8 @@ class _Searcher:
                 trail = [(doms, x, doms[x])]
                 doms[x] = bit
                 if self._narrow(side, x, trail):
-                    if closure is None:
-                        below, here = None, ()
-                    else:
-                        below, here = _descend(self.q, closure, chosen, side, bit.bit_length() - 1)
-                    if self._solve(pos + 1, below, here):
+                    below = cells and cells.extended(side, bit.bit_length() - 1)
+                    if self._solve(pos + 1, below):
                         return True
                 for d, y, old in reversed(trail):
                     d[y] = old

@@ -41,13 +41,12 @@ from tilingcalc import search
 from tilingcalc.search import (
     LINE,
     POINT,
-    SearchStats,
     UnsupportedField,
     _bits,
-    _descend,
+    _closure_reps,
     _extended_closure,
-    _FrobeniusCells,
     _plane_tables,
+    _ProjectiveCells,
     _Searcher,
     check_theorem,
     verify_configuration,
@@ -395,10 +394,15 @@ class TestForwardChecking:
         assert check_theorem(build(), q, node_budget=12_000).outcome == "true"
 
 
+def without_cut(monkeypatch):
+    """Turn the symmetry cut off: the root state of every search is None,
+    so each branch point scans its whole domain (the plain search)."""
+    monkeypatch.setattr(search, "_ProjectiveCells", lambda q, closure, chosen: None)
+
+
 class TestSymmetryBreaking:
-    def test_agrees_with_unbroken_search(self, monkeypatch):
-        # scanning every value at every branch point is the plain search;
-        # the cut must keep its outcome and its first counterexample
+    @staticmethod
+    def cases():
         rng = random.Random(909)
         cases = []
         for _ in range(300):
@@ -406,10 +410,14 @@ class TestSymmetryBreaking:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[rng.choice([-1, 0, 0, 1, 1]) for _ in range(n)] for _ in range(m)]
             cases.append((IncidenceMatrix(rows), q))
+        return cases
+
+    def test_agrees_with_unbroken_search(self, monkeypatch):
+        # scanning every value at every branch point is the plain search;
+        # the cut must keep its outcome and its first counterexample
+        cases = self.cases()
         pruned = [check_theorem(mat, q) for mat, q in cases]
-        monkeypatch.setattr(
-            _Searcher, "_orbit_representatives", lambda self, closure, side, domain: domain
-        )
+        without_cut(monkeypatch)
         plain = [check_theorem(mat, q) for mat, q in cases]
         for (mat, q), a, b in zip(cases, pruned, plain):
             assert (a.outcome, a.counterexample) == (b.outcome, b.counterexample), (
@@ -417,6 +425,34 @@ class TestSymmetryBreaking:
         assert sum(v.stats.nodes_expanded for v in pruned) < sum(
             v.stats.nodes_expanded for v in plain
         )
+
+    def test_domains_are_unions_of_orbits(self, monkeypatch):
+        # a branch point before the first quadrangle scans domain & reps,
+        # one value per orbit only if every domain is a union of orbits of
+        # the collineations fixing the values chosen above it
+        orbit_masks = functools.lru_cache(maxsize=None)(
+            lambda q, chosen: [
+                [sum(1 << x for x in orbit) for orbit in orbits]
+                for orbits in stabilizer_orbits(q, chosen)
+            ]
+        )
+        solve, entries = _Searcher._solve, []
+
+        def checked_solve(self, pos, cells):
+            if type(cells) is _ProjectiveCells:
+                masks = orbit_masks(self.q, frozenset(cells.chosen))
+                for side in (POINT, LINE):
+                    for domain in self.dom[side]:
+                        for orbit in masks[side]:
+                            assert domain & orbit in (0, orbit), (cells.chosen, side)
+                entries.append(len(cells.chosen))
+            return solve(self, pos, cells)
+
+        monkeypatch.setattr(_Searcher, "_solve", checked_solve)
+        for mat, q in self.cases():
+            if q in (2, 3):
+                check_theorem(mat, q)
+        assert len(entries) > 700 and max(entries) >= 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -519,15 +555,14 @@ class TestOrbitOracle:
             closure = _extended_closure(q, closure, side, v)
             if closure is None:
                 return None
-        searcher = _Searcher(IncidenceMatrix([[0]]), q, False, SearchStats(), 0)
-        n = q * q + q + 1
+        reps = _closure_reps(q, closure)
         for side, orbits in zip((POINT, LINE), stabilizer_orbits(q, frozenset(values))):
-            # every orbit lies in one cell, and there are as many cells
-            reps = searcher._orbit_representatives(closure, side, (1 << n) - 1)
-            assert bin(reps).count("1") == len(orbits), (values, side)
+            # each orbit holds exactly one representative, so a domain that
+            # is a union of orbits keeps one value of each under domain & reps
+            assert reps[side].bit_count() == len(orbits), (values, side)
             for orbit in orbits:
-                rep = searcher._orbit_representatives(closure, side, sum(1 << x for x in orbit))
-                assert rep & (rep - 1) == 0, (values, side, sorted(orbit))
+                rep = reps[side] & sum(1 << x for x in orbit)
+                assert rep and rep & (rep - 1) == 0, (values, side, sorted(orbit))
         return closure
 
     def test_every_short_sequence_over_order_2(self):
@@ -576,18 +611,18 @@ class TestOrbitOracle:
         assert accepted >= filled
 
 
-def search_cells(q: int, closure, side: int) -> list:
+def search_cells(q: int, state, side: int) -> list:
     """The cells past the first quadrangle on this side, of which the
     search scans one value each: the orbits of h^d for Frobenius cells,
-    and single values once the cut has ended (closure None)."""
+    and single values once the cut has ended (state None)."""
     cells, seen = [], set()
     for x in range(q * q + q + 1):
         if x in seen:
             continue
         cell, y = {x}, x
-        while closure is not None:
-            for _ in range(closure.d):
-                y = closure.h[side][y]
+        while state is not None:
+            for _ in range(state.d):
+                y = state.h[side][y]
             if y == x:
                 break
             cell.add(y)
@@ -634,22 +669,24 @@ class TestSemilinearOrbitOracle:
         frames = gave_up = 0
         for _ in range(100):
             seq = self.sequence(rng, q)
-            closure, chosen = (0, 0), ()
+            state = _ProjectiveCells(q, (0, 0), ())
             for k, value in enumerate(seq, 1):
-                if closure is not None:
-                    closure, chosen = _descend(q, closure, chosen, *value)
-                if type(closure) is tuple:  # before the quadrangle: TestOrbitOracle
+                if state is not None:
+                    state = state.extended(*value)
+                if type(state) is _ProjectiveCells:  # before the quadrangle: TestOrbitOracle
                     continue
                 orbits = stabilizer_orbits(q, frozenset(seq[:k]), semilinear=True)
                 for side in (POINT, LINE):
-                    cells = search_cells(q, closure, side)
+                    cells = search_cells(q, state, side)
                     assert all(any(c <= o for o in orbits[side]) for c in cells), (seq[:k], side)
-                    if closure is not None:  # the frame comes from the closure
+                    if state is not None:  # the frame comes from the closure
                         assert sorted(map(sorted, cells)) == sorted(map(sorted, orbits[side]))
+                        # the search scans domain & reps: the lowest of each orbit
+                        assert state.reps[side] == sum(1 << min(o) for o in orbits[side])
                     else:  # the search gives up only where the group is trivial
                         assert all(len(o) == 1 for o in orbits[side]), (seq[:k], side)
-                frames += closure is not None
-                gave_up += closure is None
+                frames += state is not None
+                gave_up += state is None
         assert frames > 80 and gave_up > 30
 
 
@@ -696,9 +733,7 @@ class TestFrobeniusCells:
         pruned = self.outcomes(cases, 12_000)
         monkeypatch.setattr(search, "_frobenius_cells", lambda q, chosen: None)
         projective = self.outcomes(cases, 12_000)
-        monkeypatch.setattr(
-            _Searcher, "_orbit_representatives", lambda self, closure, side, domain: domain
-        )
+        without_cut(monkeypatch)
         plain = self.outcomes(cases, 5_000)
         decided = cut = 0
         for (mat, q), a, b, c in zip(cases, pruned, projective, plain):
