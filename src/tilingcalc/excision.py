@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import prime_power
@@ -117,26 +116,25 @@ def _identity(k: int) -> list[list[int]]:
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def _det(mat: list[list[int]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
+def _det(mat: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: each step's division by the previous pivot is exact."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if a[r][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for k in range(c, n):
-                    a[r][k] -= f * a[c][k]
-    return det
+            sign = -sign
+        top, p = a[c], a[c][c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, n):
+                row[k] = (p * row[k] - f * top[k]) // prev
+        prev = p
+    return sign * prev
 
 
 def smith_normal_form(A: list[list[int]]):

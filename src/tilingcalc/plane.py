@@ -9,7 +9,7 @@ z = 0 at infinity: affine (x, y) embeds as the triple (x, y, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 from .fields import GF, field
 from .ternary import JsonText
@@ -85,19 +85,15 @@ meet = join
 
 def all_points(F: GF) -> list[tuple[int, int, int]]:
     """All q^2 + q + 1 normalized triples, in lexicographic order."""
-    out = []
-    seen = set()
-    for a in F.elements():
-        for b in F.elements():
-            for c in F.elements():
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                n = normalize(F, (a, b, c))
-                if n not in seen:
-                    seen.add(n)
-                    out.append(n)
-    out.sort()
-    return out
+    return sorted(_canonical_triples(F.q))
+
+
+@lru_cache(maxsize=None)
+def _canonical_triples(q: int) -> dict:
+    """Each normalized triple over the field of order q, to itself."""
+    r = range(q)
+    triples = [(0, 0, 1), *((0, 1, c) for c in r), *((1, b, c) for b in r for c in r)]
+    return {t: t for t in triples}
 
 
 DEFAULT_CHART = (0, 0, 1)  # the line z = 0 taken to infinity
@@ -119,44 +115,9 @@ def _chart_scale(F: GF, p):
     return tuple(F.mul(s, v) for v in n)
 
 
-def menelaus_ratio(F: GF, A, B, X):
-    """The scalar k with A - X = k (B - X), in the default affine chart.
-
-    Returns INFINITY when X is improper (on the chart line).  A and B
-    must be proper; the three points must be collinear.
-    """
-    A, B, X = (normalize(F, v) for v in (A, B, X))
-    l_ab = join(F, A, B)
-    if l_ab is not None and dot(F, X, l_ab) != 0:
-        raise NotCollinear((A, B, X))
-    a = _chart_scale(F, A)
-    b = _chart_scale(F, B)
-    if a is None or b is None:
-        raise DegenerateChart("endpoint on the chart line")
-    x = _chart_scale(F, X)
-    if x is None:
-        return INFINITY
-    if B == X:
-        raise DegenerateChart("B = X leaves the ratio undefined")
-    num = tuple(F.sub(p, r) for p, r in zip(a, x))
-    den = tuple(F.sub(p, r) for p, r in zip(b, x))
-    k = None
-    for nv, dv in zip(num, den):
-        if dv != 0:
-            cand = F.div(nv, dv)
-            if k is None:
-                k = cand
-            elif k != cand:
-                raise NotCollinear((A, B, X))
-        elif nv != 0:
-            raise NotCollinear((A, B, X))
-    # k is None only when A - X and B - X are both zero: A = B = X
-    return 1 if k is None else k
-
-
 def point_at_ratio(F: GF, A, B, k):
-    """Inverse of menelaus_ratio in X: the point X on line AB with
-    A - X = k (B - X), or the improper point of AB for k = INFINITY."""
+    """The point X on line AB with A - X = k (B - X) in the default affine
+    chart, or the improper point of AB for k = INFINITY."""
     A, B = normalize(F, A), normalize(F, B)
     line = join(F, A, B)
     if line is None:
@@ -188,8 +149,16 @@ class Configuration(JsonText):
 
     def __post_init__(self):
         F = field(self.q)
-        object.__setattr__(self, "points", tuple(normalize(F, p) for p in self.points))
-        object.__setattr__(self, "lines", tuple(normalize(F, l) for l in self.lines))
+        canonical = _canonical_triples(self.q)
+
+        def lookup(t):
+            try:
+                return canonical[t]
+            except (KeyError, TypeError):  # not canonical, or unhashable
+                return normalize(F, t)
+
+        object.__setattr__(self, "points", tuple(map(lookup, self.points)))
+        object.__setattr__(self, "lines", tuple(map(lookup, self.lines)))
 
     def to_json_obj(self) -> dict:
         return {

@@ -313,17 +313,23 @@ class _Searcher:
     """One backtracking search with forward checking over point and line
     variables.
 
-    A variable is a pair (side, index) with side POINT or LINE; the plane
-    is self-dual, so both sides share one code path and each side's
+    Variables have one flat index: points 0..m-1 and lines m..m+n-1.  The
+    plane is self-dual, so both sides share one code path and each side's
     constraints read the other side's values.  Each variable holds a
     bitmask domain over the indices of the canonical point list, and a
     variable is assigned exactly when its domain has one value.  Fixing a
     value narrows every neighbour's domain to the values that agree with
     it, and a neighbour left with one value is fixed in turn; an empty
-    domain cuts the branch.  Each neighbour comes with the mask table of
-    its cell, on for a +1 cell and off for a -1 cell, so narrowing is one
-    AND per neighbour.  forbid_conclusion adds the requirement that point
-    0 misses line 0 (the counterexample phase) as one more -1 cell.
+    domain cuts the branch.  The constraint table (see _constraints)
+    holds, per variable, the bitmask of its neighbours and of those it
+    shares a +1 cell with, so narrowing is one AND per neighbour, with
+    the on mask of the value for a +1 cell and the off mask for a -1 cell.
+    check_theorem builds the table once for both phases; the
+    counterexample phase adds that point 0 misses line 0 as one more -1
+    cell, two OR-ed bits.  Narrowing visits only the variables not yet
+    propagated (free): a propagated variable's one value was ANDed into
+    every neighbour that was free then, so checking it cannot prune (the
+    idea of watched literals in Minion; Gent, Jefferson & Miguel, CP 2006).
 
     Symmetry breaking.  Every constraint is an incidence or a
     non-incidence, so PΓL(3, q) maps solutions to solutions.  At a branch
@@ -404,62 +410,59 @@ class _Searcher:
     collineations that fixes S, one branch point at a time.
     """
 
-    def __init__(self, mat, q, forbid_conclusion, stats, node_budget):
+    def __init__(self, table, q, forbid_conclusion, stats, node_budget):
         self.tables = _plane_tables(q)
         self.q = q
         self.stats = stats
         self.budget = node_budget
-        rows = mat.rows()
-        masks = (None, self.tables.on, self.tables.off)  # by cell: +1 on, -1 off
-        self.cells = tuple(
-            [[(y, masks[v]) for y, v in enumerate(line) if v] for line in lines]
-            for lines in (rows, zip(*rows))
-        )
-        self.order = [
-            (side, x)
-            for _, side, x in sorted(
-                (-len(c), side, x) for side in (POINT, LINE) for x, c in enumerate(self.cells[side])
-            )
-        ]
-        if forbid_conclusion:  # added after the order, which it must not change
-            self.cells[POINT][0].append((0, self.tables.off))
-            self.cells[LINE][0].append((0, self.tables.off))
-        self.dom = tuple([self.tables.full] * len(c) for c in self.cells)
+        self.m, self.nbr, self.plus, self.order = table
+        if forbid_conclusion:  # after the order, which it must not change
+            self.nbr = list(self.nbr)
+            self.nbr[0] |= 1 << self.m
+            self.nbr[self.m] |= 1
+        self.dom = [self.tables.full] * len(self.nbr)
+        self.free = (1 << len(self.nbr)) - 1
 
-    def _narrow(self, side: int, x: int, trail: list) -> bool:
-        """Propagate the one value of variable x: AND each neighbour's
-        domain with its mask for that value (see __init__), fixing
-        neighbours left with one value.  Every old domain goes on the
-        trail; False when a domain empties."""
-        dom, cells, stats = self.dom, self.cells, self.stats
-        fixed = [(side, x)]
+    def _narrow(self, u: int) -> bool:
+        """Propagate the one value of variable u: AND each free neighbour's
+        domain with its mask for that value (see the class docstring),
+        fixing neighbours left with one value, and drop each propagated
+        variable from free.  False when a domain empties; the caller
+        restores the domains and free it saved."""
+        dom, nbr, plus = self.dom, self.nbr, self.plus
+        on, off = self.tables.on, self.tables.off
+        free, forced, fixed = self.free, 0, [u]
         while fixed:
-            side, x = fixed.pop()
-            value = dom[side][x].bit_length() - 1
-            doms = dom[1 - side]
-            for y, masks in cells[side][x]:
-                old = doms[y]
-                new = old & masks[value]
-                if new == old:
-                    continue
-                if not new:
-                    return False
-                trail.append((doms, y, old))
-                doms[y] = new
-                if not new & (new - 1):
-                    stats.propagations_forced += 1
-                    fixed.append((1 - side, y))
+            u = fixed.pop()
+            free ^= 1 << u
+            value = dom[u].bit_length() - 1
+            on_u, off_u, plus_u = on[value], off[value], plus[u]
+            rest = nbr[u] & free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                old = dom[w]
+                new = old & (on_u if plus_u & low else off_u)
+                if new != old:
+                    if not new:
+                        self.stats.propagations_forced += forced
+                        return False
+                    dom[w] = new
+                    if not new & (new - 1):
+                        forced += 1
+                        fixed.append(w)
+        self.stats.propagations_forced += forced
+        self.free = free
         return True
 
     def run(self) -> Configuration | None:
         """The first solution, or None."""
         if not self.satisfiable():
             return None
-        uni = self.tables.universe
-        points, lines = (
-            tuple(uni[d.bit_length() - 1] for d in doms) for doms in self.dom
-        )
-        return Configuration(self.q, points, lines)
+        uni, m = self.tables.universe, self.m
+        values = [uni[d.bit_length() - 1] for d in self.dom]
+        return Configuration(self.q, tuple(values[:m]), tuple(values[m:]))
 
     def satisfiable(self) -> bool:
         """Whether a solution exists; the domains then hold the first one."""
@@ -469,31 +472,54 @@ class _Searcher:
         """Whether a solution lies below this point, leaving the first one
         in the domains; cells are those of the values chosen at the branch
         points above, or None once the cut has ended."""
-        while pos < len(self.order):
-            side, x = self.order[pos]
-            doms = self.dom[side]
-            domain = doms[x]
+        dom, order, stats = self.dom, self.order, self.stats
+        while pos < len(order):
+            u = order[pos]
+            domain = dom[u]
             if not domain & (domain - 1):  # one value: already fixed
                 pos += 1
                 continue
+            side = LINE if u >= self.m else POINT
             if cells is not None:  # one value per orbit; see the class docstring
                 domain &= cells.reps[side]
+            free = self.free
             while domain:
                 bit = domain & -domain  # lowest index first
                 domain ^= bit
-                self.stats.nodes_expanded += 1
-                if self.stats.nodes_expanded > self.budget:
+                stats.nodes_expanded += 1
+                if stats.nodes_expanded > self.budget:
                     raise _Budget
-                trail = [(doms, x, doms[x])]
-                doms[x] = bit
-                if self._narrow(side, x, trail):
+                saved = dom[:]
+                dom[u] = bit
+                if self._narrow(u):
                     below = cells and cells.extended(side, bit.bit_length() - 1)
                     if self._solve(pos + 1, below):
                         return True
-                for d, y, old in reversed(trail):
-                    d[y] = old
+                dom[:] = saved
+                self.free = free
             return False
         return True
+
+
+def _constraints(mat: IncidenceMatrix):
+    """The search's constraint table for mat: m, and per flat variable
+    (points 0..m-1, lines m..m+n-1) the bitmask of its neighbours and of
+    those it shares a +1 cell with, and the branching order, most
+    neighbours first and then by index."""
+    rows = mat.rows()
+    m = len(rows)
+    size = m + len(rows[0])
+    nbr, plus = [0] * size, [0] * size
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row, m):
+            if v:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+                if v == 1:
+                    plus[i] |= 1 << j
+                    plus[j] |= 1 << i
+    order = sorted(range(size), key=lambda u: -nbr[u].bit_count())
+    return m, nbr, plus, order
 
 
 def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Verdict:
@@ -501,17 +527,18 @@ def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Ver
     plane of order q."""
     F = field(q)  # rejects an unsupported order
     stats = SearchStats()
+    table = _constraints(mat)
     try:
         counterexample = None
         if mat.entry(1, 1) != 1:  # a +1 conclusion can never be violated
-            counterexample = _Searcher(mat, q, True, stats, node_budget).run()
+            counterexample = _Searcher(table, q, True, stats, node_budget).run()
         if counterexample is not None:
             if not verify_configuration(mat, counterexample) or incident(
                 F, counterexample.points[0], counterexample.lines[0]
             ):
                 raise AssertionError("the search returned no counterexample")
             return Verdict("counterexample", counterexample, stats)
-        if not _Searcher(mat, q, False, stats, node_budget).satisfiable():
+        if not _Searcher(table, q, False, stats, node_budget).satisfiable():
             return Verdict("vacuous", None, stats)
         return Verdict("true", None, stats)
     except _Budget:

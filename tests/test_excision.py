@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -13,6 +14,7 @@ from tilingcalc.complexes import (
 )
 from tilingcalc.excision import (
     Cochain,
+    _det,
     GroupSpec,
     TooLarge,
     boundary_matrix,
@@ -82,7 +84,29 @@ class TestGroupSpec:
                 GroupSpec.finite_field(q)
 
 
+def permutation_det(mat) -> int:
+    """The Leibniz expansion: a signed product per permutation."""
+    n, total = len(mat), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
 class TestSmithNormalForm:
+    def test_det_agrees_with_permutation_expansion(self):
+        rng = random.Random(120)
+        for n in range(7):
+            for _ in range(40):
+                bound = rng.choice([1, 3, 50])
+                mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                if n > 1 and rng.random() < 0.2:  # a repeated row: singular
+                    mat[-1] = list(mat[0])
+                assert _det(mat) == permutation_det(mat), mat
+
     def test_diag_2_3(self):
         _, D, _ = smith_normal_form([[2, 0], [0, 3]])
         assert diag(D) == [1, 6]

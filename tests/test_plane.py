@@ -12,16 +12,52 @@ from tilingcalc.plane import (
     Configuration,
     DegenerateChart,
     NotCollinear,
+    _chart_scale,
     affine_point,
     all_points,
     dot,
     incident,
     join,
     meet,
-    menelaus_ratio,
     normalize,
     point_at_ratio,
 )
+
+
+def menelaus_ratio(F: GF, A, B, X):
+    """The scalar k with A - X = k (B - X), in the default affine chart:
+    the inverse of point_at_ratio in X.
+
+    Returns INFINITY when X is improper (on the chart line).  A and B
+    must be proper; the three points must be collinear.
+    """
+    A, B, X = (normalize(F, v) for v in (A, B, X))
+    l_ab = join(F, A, B)
+    if l_ab is not None and dot(F, X, l_ab) != 0:
+        raise NotCollinear((A, B, X))
+    a = _chart_scale(F, A)
+    b = _chart_scale(F, B)
+    if a is None or b is None:
+        raise DegenerateChart("endpoint on the chart line")
+    x = _chart_scale(F, X)
+    if x is None:
+        return INFINITY
+    if B == X:
+        raise DegenerateChart("B = X leaves the ratio undefined")
+    num = tuple(F.sub(p, r) for p, r in zip(a, x))
+    den = tuple(F.sub(p, r) for p, r in zip(b, x))
+    k = None
+    for nv, dv in zip(num, den):
+        if dv != 0:
+            cand = F.div(nv, dv)
+            if k is None:
+                k = cand
+            elif k != cand:
+                raise NotCollinear((A, B, X))
+        elif nv != 0:
+            raise NotCollinear((A, B, X))
+    # k is None only when A - X and B - X are both zero: A = B = X
+    return 1 if k is None else k
 
 
 class TestFields:
@@ -260,3 +296,26 @@ class TestConfigurationJson:
     def test_normalizes_on_build(self):
         c = Configuration(3, ((2, 1, 0),), ())
         assert c.points[0] == (1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (0, 1, 2), (2, 1, 0), (1.0, 2.0, 0.0), (True, False, True), [0, 2, 1],
+            (1, 2.5, 0), (0, 0, 0), (3, 0, 0), (1, 0), ("x", 0, 0), ("1", 0, 0),
+            (1, [0], 0), [[1], 0, 0], None,
+        ],
+    )
+    def test_builds_each_triple_as_normalize_does(self, triple):
+        # canonical triples are looked up rather than normalized, which
+        # must not change what any input gives or raises
+        F = field(3)
+        try:
+            expected = normalize(F, triple)
+        except (TypeError, ValueError) as error:
+            with pytest.raises(type(error)) as raised:
+                Configuration(3, (triple,), (triple,))
+            assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+        else:
+            c = Configuration(3, (triple,), (triple,))
+            assert c.points == c.lines == (expected,)
+            assert all(type(v) is int for v in c.points[0] + c.lines[0])

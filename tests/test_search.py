@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -441,8 +443,9 @@ class TestSymmetryBreaking:
         def checked_solve(self, pos, cells):
             if type(cells) is _ProjectiveCells:
                 masks = orbit_masks(self.q, frozenset(cells.chosen))
+                sides = self.dom[: self.m], self.dom[self.m :]  # points, lines
                 for side in (POINT, LINE):
-                    for domain in self.dom[side]:
+                    for domain in sides[side]:
                         for orbit in masks[side]:
                             assert domain & orbit in (0, orbit), (cells.chosen, side)
                 entries.append(len(cells.chosen))
@@ -774,3 +777,47 @@ class TestFrobeniusCells:
         verdict = check_theorem(mat, q, node_budget=ceiling)
         assert time.perf_counter() - start < 1.0
         assert verdict.outcome == "true"
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_verdicts() -> list:
+    """The verdicts over the catalog and generated theorems at every order
+    up to 9, with the benchmark's node budget, then over the random cases
+    of TestSymmetryBreaking."""
+    cases = [
+        (build() if name in CATALOG else generate_theorem(build()), q, 12_000)
+        for name, build in {**CATALOG, **GENERATED}.items()
+        for q in (2, 3, 4, 5, 7, 8, 9)
+    ]
+    cases += [(mat, q, 10**8) for mat, q in TestSymmetryBreaking.cases()]
+    return [check_theorem(mat, q, node_budget=budget) for mat, q, budget in cases]
+
+
+class TestPinnedVerdicts:
+    """A change to how the search runs keeps its answers: the digests of
+    the verdicts' JSON are those of the search before the flat variable
+    index."""
+
+    OUTCOMES = "403fe01afb082ce9ac65068ef9d8eb22a789f70eb759996c3ac14a9c46d9760f"
+    STATS = "eeb9826d892562ce379f6844b5af0f0daea9c4a6b0e866e58516a60f47f3ee25"
+
+    @staticmethod
+    def digest(objs) -> str:
+        return hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+
+    def test_outcomes_and_counterexamples(self):
+        objs = [v.to_json_obj() for v in pinned_verdicts()]
+        assert self.digest([{**obj, "stats": None} for obj in objs]) == self.OUTCOMES
+
+    def test_stats(self):
+        assert self.digest([v.stats.to_json_obj() for v in pinned_verdicts()]) == self.STATS
+
+    def test_counterexamples_are_canonical(self):
+        found = [v.counterexample for v in pinned_verdicts() if v.counterexample]
+        assert len(found) > 150
+        for c in found:
+            assert Configuration.from_json_obj(c.to_json_obj()) == c
+            F = field(c.q)
+            for triple in c.points + c.lines:
+                assert triple == normalize(F, triple)
+                assert all(type(v) is int for v in triple)
