@@ -166,7 +166,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_excise(args) -> int:
-    from .excision import _ORACLE_MAX_MODULUS, TooLarge, can_excise
+    from .excision import can_excise, witness_modulus
 
     mc = _load(args, args.complex, MarkedComplex.from_json)
     K = mc.complex
@@ -183,24 +183,7 @@ def _cmd_excise(args) -> int:
     ok = can_excise(K, face, G)
     witness = None
     if not ok:
-        moduli = [] if G.torsion == "full" else list(G.torsion)
-        exponent = G.exponent()
-        if exponent:
-            moduli.append(exponent)
-        # a finite G holds Z/n only for n dividing its exponent
-        fallback = [n for n in range(2, _ORACLE_MAX_MODULUS + 1)
-                    if G.infinite or not exponent or exponent % n == 0]
-        for n in dict.fromkeys(moduli + fallback):
-            cyclic = GroupSpec(False, (n,))
-            if cyclic != G and can_excise(K, face, cyclic):
-                continue  # excises mod n (always for n = 1); G itself was decided above
-            try:
-                cochain = failing_cochain(K, face, n)
-            except TooLarge:
-                continue  # a smaller modulus may still serve
-            if cochain is not None:
-                witness = cochain.to_json_obj()
-                break
+        witness = failing_cochain(K, face, witness_modulus(K, face, G)).to_json_obj()
     _emit(
         _report(
             args,

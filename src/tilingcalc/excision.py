@@ -4,8 +4,10 @@ A face can be excised when every group-valued edge labeling that
 satisfies the triangle relation on all other faces automatically
 satisfies it on this face too.  This is a pure question about the class
 of the face's boundary row in the cokernel of the other boundary rows,
-decided here by exact integer Smith normal form; a brute-force oracle
-enumerates the cyclic-group labelings directly for cross-checking.
+decided here by exact integer Smith normal form; the decision and the
+failing cochain both read one failure rule (``_fails``) off that class.
+A capped brute-force oracle enumerates the cyclic-group labelings
+directly for cross-checking.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .fields import prime_power
 from .surfaces import DeltaComplex, FaceNotFound
@@ -61,12 +63,6 @@ class GroupSpec(JsonText):
     def rational_functions(cls, q: int) -> "GroupSpec":
         prime_power(q)
         return cls(True, (q - 1,))
-
-    def exponent(self) -> int | None:
-        """Least common annihilator of the torsion, None when unbounded."""
-        if self.torsion == FULL:
-            return None
-        return lcm(*self.torsion) if self.torsion else 1
 
     def to_json_obj(self) -> dict:
         t = self.torsion if self.torsion == FULL else list(self.torsion)
@@ -290,28 +286,40 @@ def _quotient_class(K: DeltaComplex, face: int):
     return classes[face]
 
 
+def _fails(x: int, d: int, n: int) -> bool:
+    """Whether coordinate (x, d) of a face's class fails over Z/n (n >= 1):
+    its values w in Z/n with d·w = 0 are the multiples of n / gcd(d, n),
+    and some x·w is nonzero exactly when gcd(d, n) does not divide x."""
+    return x % gcd(d, n) != 0
+
+
 def can_excise(K: DeltaComplex, face: int, G: GroupSpec) -> bool:
     """True iff every G-valued edge labeling satisfying the triangle
-    relation on all other faces satisfies it on this face."""
+    relation on all other faces satisfies it on this face: no coordinate
+    of its class fails over G.  Over all roots of unity a torsion
+    coordinate of order d fails when it fails over Z/d."""
     for x, d in _quotient_class(K, face):
-        if d == 1:
-            continue
-        if d == 0:  # free coordinate
-            if x == 0:
-                continue
-            if G.infinite or G.torsion == FULL:
+        if d == 0 and (G.infinite or G.torsion == FULL):
+            if x:
                 return False
-            if x % G.exponent():
-                return False
-        else:  # torsion coordinate of order d
-            x %= d
-            if x == 0:
-                continue
-            if G.torsion == FULL:
-                return False
-            if any(x % gcd(d, mj) for mj in G.torsion):
-                return False
+        elif any(_fails(x, d, m) for m in ((d,) if G.torsion == FULL else G.torsion)):
+            return False
     return True
+
+
+def witness_modulus(K: DeltaComplex, face: int, G: GroupSpec) -> int:
+    """For a face that does not excise over G, the modulus of its witness:
+    G's first torsion order over which the face fails, else the least
+    n >= 2 over which it fails.  That exists: a finite G fails over one of
+    its torsion orders, a free coordinate with x != 0 fails over
+    Z/(|x| + 1), and over all roots of unity a torsion coordinate of
+    order d fails over Z/d."""
+    classes = _quotient_class(K, face)
+    torsion = () if G.torsion == FULL else G.torsion
+    return next(
+        n for n in itertools.chain(torsion, itertools.count(2))
+        if any(_fails(x, d, n) for x, d in classes)
+    )
 
 
 _ORACLE_MAX_EDGES = 30
@@ -352,12 +360,23 @@ def oracle_can_excise(K: DeltaComplex, face: int, n: int) -> bool:
 
 def failing_cochain(K: DeltaComplex, face: int, n: int) -> Cochain | None:
     """A Z/n edge labeling satisfying all other faces' relations but not
-    this face's, if one exists (first in enumeration order)."""
-    for w, value in _oracle_solutions(K, face, n):
-        if value != 0:
-            V = _factorisation(K, face)[2]
-            return Cochain(n, tuple(sum(a * b for a, b in zip(row, w)) % n for row in V))
-    return None
+    this face's, or None when the face excises over Z/n.
+
+    It is step · V[:, j] mod n, for j the last coordinate of the class
+    that fails and step = n / gcd(d_j, n): the first labeling with a
+    nonzero value that ``_oracle_solutions`` yields.  Its enumeration runs
+    the last coordinate fastest; coordinates after j contribute 0 whatever
+    their value, and with all before j at 0 the least choice for j that
+    contributes anything is step."""
+    if n < 1:
+        raise ValueError(f"modulus {n} is not positive")
+    classes = _quotient_class(K, face)
+    j = next((j for j in reversed(range(len(classes))) if _fails(*classes[j], n)), None)
+    if j is None:
+        return None
+    step = n // gcd(classes[j][1], n)
+    V = _factorisation(K, face)[2]
+    return Cochain(n, tuple(step * row[j] % n for row in V))
 
 
 def torsion_coprime(k: int, G: GroupSpec) -> bool:

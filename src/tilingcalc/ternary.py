@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
 MINUS, ZERO, PLUS = -1, 0, 1
@@ -140,44 +140,45 @@ class IncidenceMatrix(JsonText):
 # two lines, so two distinct points would lie on two distinct lines.
 
 
+def _masks(grid):
+    """(P, N, RP, RN) for a grid of rows: P[c] / N[c] are the row bitmasks
+    of the +1 / -1 entries of column c, RP[r] / RN[r] the column bitmasks
+    of row r."""
+    P, N, RP, RN = [0] * len(grid[0]), [0] * len(grid[0]), [], []
+    for i, row in enumerate(grid):
+        rp = rn = 0
+        for j, v in enumerate(row):
+            if v == PLUS:
+                rp |= 1 << j
+                P[j] |= 1 << i
+            elif v == MINUS:
+                rn |= 1 << j
+                N[j] |= 1 << i
+        RP.append(rp)
+        RN.append(rn)
+    return P, N, RP, RN
+
+
 def contradicts_incidence_axiom(mat: IncidenceMatrix) -> PatternWitness | None:
     """Find a forbidden submatrix, or None.
 
     Instead of trying all 3x3 submatrices with all permutations, look for
     an ordered pair of columns (c1, c2) sharing two rows (r2, r3) of +1s,
     where some row r1 separates the columns (-1 at c1, +1 at c2) and some
-    column c3 separates the rows (+1 at r2, -1 at r3).  The brute-force
-    equivalent lives in the test suite.
+    column c3 separates the rows (+1 at r2, -1 at r3): over the bitmasks
+    of ``_masks``, P[c1] & P[c2], N[c1] & P[c2] and RP[r2] & RN[r3].  The
+    brute-force equivalent lives in the test suite.
     """
-    g = mat.rows()
-    m, n = mat.m, mat.n
-    # rows_on[c] = rows holding +1 in column c (0-based)
-    rows_on = [[r for r in range(m) if g[r][c] == PLUS] for c in range(n)]
-    for c1 in range(n):
-        for c2 in range(n):
-            if c1 == c2:
-                continue
-            shared = [r for r in rows_on[c1] if g[r][c2] == PLUS]
-            if len(shared) < 2:
-                continue
-            seps = [r for r in range(m) if g[r][c1] == MINUS and g[r][c2] == PLUS]
-            if not seps:
-                continue
-            for r2 in shared:
-                for r3 in shared:
-                    if r2 == r3:
-                        continue
-                    for c3 in range(n):
-                        if c3 in (c1, c2):
-                            continue
-                        if g[r2][c3] == PLUS and g[r3][c3] == MINUS:
-                            for r1 in seps:
-                                if r1 in (r2, r3):
-                                    continue
-                                return PatternWitness(
-                                    (r1 + 1, r2 + 1, r3 + 1),
-                                    (c1 + 1, c2 + 1, c3 + 1),
-                                )
+    P, N, RP, RN = _masks(mat.rows())
+    for c1, c2 in permutations(range(mat.n), 2):
+        shared, seps = P[c1] & P[c2], N[c1] & P[c2]
+        if seps and shared & (shared - 1):  # a separating row, two shared rows
+            rows = [r for r in range(mat.m) if shared >> r & 1]
+            for r2, r3 in product(rows, rows):
+                c3 = RP[r2] & RN[r3]  # empty when r2 == r3
+                if c3:  # r1 and c3 the lowest set bits, 1-based
+                    return PatternWitness(((seps & -seps).bit_length(), r2 + 1, r3 + 1),
+                                          (c1 + 1, c2 + 1, (c3 & -c3).bit_length()))
     return None
 
 
@@ -188,11 +189,9 @@ def is_tautology(mat: IncidenceMatrix) -> bool:
 
 def _completes_pattern(i, j, plus, P, N, RP, RN, rows, cols) -> bool:
     """Whether a forbidden pattern uses cell (i, j) (0-based) when it
-    holds +1 (``plus``) or -1.  P[c] / N[c] are the row bitmasks of the
-    +1 / -1 entries of column c, RP[r] / RN[r] the column bitmasks of row
-    r; ``rows`` lists the +1 rows of column j, ``cols`` the +1 columns of
-    row i.  The cell's sign is read from ``plus`` alone, so the masks
-    need not hold it.
+    holds +1 (``plus``) or -1, over the bitmasks of ``_masks``; ``rows``
+    lists the +1 rows of column j, ``cols`` the +1 columns of row i.  The
+    cell's sign is read from ``plus`` alone, so the masks need not hold it.
 
     In the pattern's terms (r1 separates c1 from c2, r2 and r3 lie on
     both, c3 separates r2 from r3), the roles the cell can play are:
@@ -258,10 +257,7 @@ def propagate(
     # scanning commits only -1, so the +1 entries stay as seeded
     plus_rows = [[i for i, row in enumerate(grid) if row[j] == PLUS] for j in range(mat.n)]
     plus_cols = [[j for j, v in enumerate(row) if v == PLUS] for row in grid]
-    P = [sum(1 << i for i in rows) for rows in plus_rows]
-    RP = [sum(1 << j for j in cols) for cols in plus_cols]
-    N = [sum(1 << i for i, row in enumerate(grid) if row[j] == MINUS) for j in range(mat.n)]
-    RN = [sum(1 << j for j, v in enumerate(row) if v == MINUS) for row in grid]
+    P, N, RP, RN = _masks(grid)
     broken = contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None
 
     sweeps = 0

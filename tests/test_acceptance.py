@@ -297,9 +297,7 @@ def test_12_field_spectrum_of_each_generated_complex_decides_the_search():
 def test_13_field_spectrum_past_order_nine_decides_the_search():
     # test_12's check over the orders 11, 13 and 16 at a 20,000-node budget,
     # but 30,000 for non-grope over order 16, which holds there and takes
-    # 24,464 nodes to show it.  The failing cochain is taken at the torsion
-    # order that fails (3 or 4), since failing_cochain enumerates only
-    # moduli up to 12.
+    # 24,464 nodes to show it.
     budgets = {11: 20_000, 13: 20_000, 16: 20_000}
     cases = (
         (desargues_tetrahedron(), budgets),
@@ -315,9 +313,7 @@ def test_13_field_spectrum_past_order_nine_decides_the_search():
             if can_excise(mc.complex, mc.marked, GroupSpec.finite_field(q)):
                 assert outcome == "true", (mat, q)
                 continue
-            n = next(n for n in (3, 4) if (q - 1) % n == 0
-                     and not can_excise(mc.complex, mc.marked, GroupSpec(False, (n,))))
-            u = failing_cochain(mc.complex, mc.marked, n)
+            u = failing_cochain(mc.complex, mc.marked, q - 1)
             cfg = realize_from_cochain(mc, multiplicative_cochain(u, q), q)
             assert cfg is not None and verify_configuration(mat, cfg), (mat, q)
             assert not incident(field(q), cfg.points[0], cfg.lines[0])

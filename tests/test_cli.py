@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib.resources import files
@@ -16,9 +17,10 @@ import tilingcalc
 from tilingcalc.catalog import pappus_case1_golden
 from tilingcalc.cli import UsageError, main, parse_group
 from tilingcalc.complexes import desargues_tetrahedron, one_line_complex
-from tilingcalc.excision import GroupSpec
+from tilingcalc.excision import GroupSpec, boundary_matrix, can_excise
+from tilingcalc.gropes import fan_disc, grope_base, grope_glue, random_closed_surface
 from tilingcalc.search import check_theorem
-from tilingcalc.surfaces import MarkedComplex, generate_theorem
+from tilingcalc.surfaces import Labeling, MarkedComplex, generate_theorem
 from tilingcalc.ternary import IncidenceMatrix, propagate
 
 FIXTURES = files("tilingcalc") / "fixtures"
@@ -173,27 +175,60 @@ class TestPropagate:
 
 
 class TestExcise:
+    @staticmethod
+    def assert_fails_exactly_at(K, face, cochain):
+        n = cochain["modulus"]
+        values = [cochain["values"][str(e + 1)] for e in range(len(K.edges))]
+        for f, row in enumerate(boundary_matrix(K)):
+            value = sum(c * v for c, v in zip(row, values)) % n
+            assert (value != 0) == (f == face), (f, face, n)
+
+    def excise_marked(self, capsys, path, group):
+        code, report = run(capsys, "excise", path, "--face", "marked", "--group", group)
+        if code == 1:
+            mc = MarkedComplex.from_json(Path(path).read_text())
+            self.assert_fails_exactly_at(mc.complex, mc.marked, report["failingCochain"])
+        return code, report
+
     def test_marked_face_not_excisable_with_three_torsion(self, capsys):
-        # F16* and F2147483647* have torsion past the enumerating oracle's
-        # cap, so their witness comes from a smaller modulus
-        for group in ("F4", "F16*", "F2147483647*"):
-            code, report = run(
-                capsys, "excise", fx("ninegon-grope.json"), "--face", "marked",
-                "--group", group,
-            )
+        # the witness is taken at the group's own torsion order
+        for group, n in (("F4", 3), ("F16*", 15), ("F2147483647*", 2147483646)):
+            code, report = self.excise_marked(capsys, fx("ninegon-grope.json"), group)
             assert code == 1
             assert report["excisable"] is False
-            assert report["failingCochain"]["modulus"] == 3, group
+            assert report["failingCochain"]["modulus"] == n, group
 
     def test_finite_group_witness_modulus_divides_its_order(self, capsys):
         # the would-be 6-gon fails over every cyclic group, so Z/2 has a
         # failing cochain too; but Z/2 is no subgroup of F16* (order 15)
-        code, report = run(
-            capsys, "excise", fx("would-be-6-gon.json"), "--face", "marked",
-            "--group", "F16*",
-        )
+        code, report = self.excise_marked(capsys, fx("would-be-6-gon.json"), "F16*")
         assert code == 1
-        assert report["failingCochain"]["modulus"] == 3
+        assert report["failingCochain"]["modulus"] == 15
+
+    def test_every_negative_carries_a_witness(self, capsys, tmp_path):
+        # large torsion (F32*: 31) and many edges (36) alike: the witness
+        # is read off the face's class, so no size leaves exit 1 without one
+        code, report = self.excise_marked(capsys, fx("would-be-6-gon.json"), "F32")
+        assert code == 1
+        assert report["failingCochain"]["modulus"] == 31
+        base = random_closed_surface(random.Random(0), max_faces=10)
+        K = grope_glue(grope_base(base), 0, fan_disc(21), 7, GroupSpec.reals()).complex
+        assert (len(K.faces), len(K.edges)) == (30, 36)
+        F8 = GroupSpec.finite_field(8)
+        face = next(f for f in range(len(K.faces)) if not can_excise(K, f, F8))
+        # one point label 1 on the face, which alone carries line label 1
+        e = K.face_edges(face)[0]
+        lab = Labeling(
+            (2,) * K.vertex_count,
+            tuple(int(i != e) + 1 for i in range(len(K.edges))),
+            tuple(int(f != face) + 1 for f in range(len(K.faces))),
+            (2,) * len(K.edges),
+        )
+        src = tmp_path / "glued.json"
+        src.write_text(MarkedComplex(K, lab, face).to_json())
+        code, report = self.excise_marked(capsys, str(src), "F8")
+        assert code == 1
+        assert report["failingCochain"]["modulus"] == 7
 
     def test_marked_face_excisable_without(self, capsys):
         code, report = run(

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from importlib.resources import files
 
 import pytest
 
@@ -11,10 +12,13 @@ from tilingcalc.complexes import (
     one_line_complex,
     pappus_torus_case1,
     pappus_torus_case2,
+    would_be_6_gon,
 )
 from tilingcalc.excision import (
     Cochain,
     _det,
+    _factorisation,
+    _oracle_solutions,
     GroupSpec,
     TooLarge,
     boundary_matrix,
@@ -23,9 +27,10 @@ from tilingcalc.excision import (
     oracle_can_excise,
     smith_normal_form,
     torsion_coprime,
+    witness_modulus,
 )
 from tilingcalc.gropes import random_closed_surface
-from tilingcalc.surfaces import DeltaComplex, FaceNotFound
+from tilingcalc.surfaces import DeltaComplex, FaceNotFound, MarkedComplex
 
 FIXTURES = [
     desargues_tetrahedron,
@@ -46,11 +51,6 @@ class TestGroupSpec:
         assert GroupSpec.complexes() == GroupSpec(True, "full")
         assert GroupSpec.finite_field(5) == GroupSpec(False, (4,))
         assert GroupSpec.rational_functions(4) == GroupSpec(True, (3,))
-
-    def test_exponent(self):
-        assert GroupSpec(False, (4, 6)).exponent() == 12
-        assert GroupSpec(False, ()).exponent() == 1
-        assert GroupSpec.complexes().exponent() is None
 
     def test_json_round_trip(self):
         for g in (GroupSpec.reals(), GroupSpec.complexes(), GroupSpec(False, (3, 5))):
@@ -281,6 +281,41 @@ class TestFailingCochain:
                 assert value != 0
             else:
                 assert value == 0
+
+    @pytest.mark.parametrize("name", [
+        "desargues-tetrahedron.json", "one-line-octahedron.json", "pappus-torus-case1.json",
+        "pappus-torus-case2.json", "ninegon-grope.json", "non-grope.json", "would-be-6-gon.json",
+    ])
+    def test_first_failing_labeling_of_the_oracle(self, name):
+        # the witness read off the class is the oracle's first labeling
+        # with a nonzero value on the face, wherever the oracle can run
+        K = MarkedComplex.from_json((files("tilingcalc") / "fixtures" / name).read_text()).complex
+        # each octahedron face excises with five free coordinates: n^5
+        # labelings to exhaust, seconds in all past n = 8
+        top = 8 if name == "one-line-octahedron.json" else 12
+        for f in range(len(K.faces)):
+            for n in range(2, top + 1):
+                try:
+                    w = next((w for w, value in _oracle_solutions(K, f, n) if value), None)
+                except TooLarge:
+                    continue
+                expected = None
+                if w is not None:
+                    V = _factorisation(K, f)[2]
+                    expected = Cochain(n, tuple(sum(a * b for a, b in zip(row, w)) % n for row in V))
+                assert failing_cochain(K, f, n) == expected, (name, f, n)
+
+    def test_witness_modulus(self):
+        # non-grope's marked class has one nonzero torsion coordinate,
+        # (-2, 4): it fails over Z/n exactly when 4 divides n
+        mc = non_grope_complex()
+        for G, n in ((GroupSpec.finite_field(9), 8), (GroupSpec(False, (6, 8)), 8),
+                     (GroupSpec.complexes(), 4)):
+            assert not can_excise(mc.complex, mc.marked, G)
+            assert witness_modulus(mc.complex, mc.marked, G) == n
+        # the would-be 6-gon's class has free coordinates x = +-1: Z/2 fails
+        mc = would_be_6_gon()
+        assert witness_modulus(mc.complex, mc.marked, GroupSpec(True, (1,))) == 2
 
     def test_none_when_excisable(self):
         K = desargues_tetrahedron().complex
