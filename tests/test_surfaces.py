@@ -1,3 +1,9 @@
+import contextlib
+import hashlib
+import io
+import json
+import random
+
 import pytest
 
 from tilingcalc.catalog import (
@@ -6,14 +12,19 @@ from tilingcalc.catalog import (
     pappus_case1_golden,
     pappus_case2_golden,
 )
+from tilingcalc.cli import main
 from tilingcalc.complexes import (
     bijective_pappus_torus,
     desargues_tetrahedron,
+    nine_gon_grope,
     non_grope_complex,
     one_line_complex,
     pappus_torus_case1,
     pappus_torus_case2,
 )
+from tilingcalc.excision import GroupSpec, can_excise, failing_cochain
+from tilingcalc.noncomm import desargues_soundness_sample, random_disc
+from tilingcalc.realize import multiplicative_cochain, realize_from_cochain
 from tilingcalc.search import check_theorem
 from tilingcalc.surfaces import (
     BadComplex,
@@ -331,3 +342,67 @@ class TestWouldBe6Gon:
         # the three corners are never forced apart: corner 9 may land on
         # the transversal (line 9), corners 10/11 on the wrong carrier
         assert {(9, 9), (10, 3), (11, 2)} <= cells
+
+
+def digest(objs) -> str:
+    return hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedPlacements:
+    """The configurations built from a labeled tiling and its edge values,
+    over GF(q) and over the quaternions, and the random discs, pinned by
+    SHA-256 digests of their JSON: a change to how a tiling is placed
+    keeps every output byte for byte."""
+
+    def test_quaternion_hexagon_reports(self):
+        reports = []
+        for u, v in (
+            ("i", "j"),
+            ("1,1,0,0", "1,0,1,0"),
+            ("j", "k"),
+            ("1/2,1,0,3", "2,0,1,-1"),
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["quat", "pappus", "--u", u, "--v", v]) == 1
+            reports.append(out.getvalue())
+        assert digest(reports) == (
+            "000dac3a31fc6625c92195fef3a7de6567a86596b36b066624fcd0a23e672be9"
+        )
+
+    def test_finite_field_counterexamples(self):
+        # every generated complex and order up to 16 where the marked face
+        # fails to excise over F_q*: seven realized counterexamples
+        configs = []
+        for mc in (
+            desargues_tetrahedron(),
+            one_line_complex(),
+            bijective_pappus_torus(),
+            nine_gon_grope(),
+            non_grope_complex(),
+        ):
+            for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+                if can_excise(mc.complex, mc.marked, GroupSpec.finite_field(q)):
+                    continue
+                u = failing_cochain(mc.complex, mc.marked, q - 1)
+                cfg = realize_from_cochain(mc, multiplicative_cochain(u, q), q)
+                configs.append(cfg.to_json_obj())
+        assert len(configs) == 7
+        assert digest(configs) == (
+            "ac15b26e34e8895ada14265c6277dfb9c73e88a339529021adb492c72da939c3"
+        )
+
+    def test_sphere_soundness_sample(self):
+        assert digest(desargues_soundness_sample(200, seed=7)) == (
+            "56e1d5bc5b03c313a95989af62ca4fd61c721ad2f64ec8e2ba5daff1badc1dfe"
+        )
+
+    def test_random_discs(self):
+        rng = random.Random(3)
+        discs = []
+        for _ in range(50):
+            D = random_disc(rng, 40)
+            discs.append([D.complex.to_json_obj(), list(D.boundary)])
+        assert digest(discs) == (
+            "644af8e23b007baeb6f563c00dd37a4bcd03035a5491b29a5a0f12fb35060329"
+        )
