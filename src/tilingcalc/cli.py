@@ -269,6 +269,14 @@ def _parse_quaternion(text: str):
         raise UsageError(
             f"bad quaternion {text!r}; expected i, j, k, 1 or four rationals a,b,c,d"
         )
+    for part in parts:
+        # bounded on its text: Fraction("1e10000000") alone takes seconds
+        exponent = part.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(part) > 1000 or exponent.isdecimal() and int(exponent) > 1000:
+            raise UsageError(
+                f"bad quaternion component {part[:20]!r}; "
+                "the bound is 1000 characters and an exponent of at most 1000"
+            )
     try:
         return Quaternion.of(*(Fraction(p) for p in parts))
     except (ValueError, ZeroDivisionError) as exc:

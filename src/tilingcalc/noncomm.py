@@ -1,9 +1,10 @@
 """Noncommutative coordinates: exact rational quaternions, the left
-affine/projective plane over them, the noncommutative three-ratio
-collinearity criterion, triangulated-disc shelling with boundary-word
-evaluation, and two executable constructions: a quaternionic refutation
-of the hexagon theorem and a soundness sampler for the sphere-backed
-four-triangle theorem.
+affine plane over them, the noncommutative three-ratio collinearity
+criterion, triangulated-disc shelling with boundary-word evaluation, and
+two executable constructions, each a labeled tiling placed in that plane
+by `surfaces.place_tiling`: a quaternionic refutation of the hexagon
+theorem and a soundness sampler for the sphere-backed four-triangle
+theorem.
 
 Conventions: scalars multiply on the left, so points are left spans of
 coordinate triples and a line with coefficients (a, b, c) consists of
@@ -14,11 +15,13 @@ right scalar).  Affine points are pairs (x, y), embedded as (x, y, 1).
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .plane import NotCollinear, check_sizes
-from .surfaces import DeltaComplex, cycle_order, edge_uses, orient, rim_word
+from .gropes import stellar_subdivide_face
+from .surfaces import DeltaComplex, cycle_order, edge_uses, orient, place_tiling, rim_word
 from .ternary import JsonText
 
 
@@ -205,12 +208,12 @@ def menelaus_check(A, B, C, D, E, F) -> bool:
 
 
 def line_through(P, Q):
-    """Coefficients (a, b, c) of the left line through two distinct
-    affine points, normalized up to a right scalar."""
+    """Coefficients (a, b, c) of the left line through two affine points,
+    normalized up to a right scalar; None when the points coincide."""
     dx = P[0] - Q[0]
     dy = P[1] - Q[1]
     if not (dx or dy):
-        raise ValueError("coincident points do not span a line")
+        return None
     if dx:
         b = _ONE
         a = -(dx.inverse() * dy)
@@ -431,43 +434,25 @@ def evaluate_boundary(D: TriangulatedDisc, values):
 def random_disc(rng: random.Random, max_faces: int = 30) -> TriangulatedDisc:
     """Random triangulated disc grown from one triangle by coning over
     boundary edges and stellar subdivision of faces."""
-    nv = 3
-    edges = [(0, 1), (1, 2), (0, 2)]
-    faces = [((0, 1), (1, 1), (2, -1))]
+    K = DeltaComplex(3, ((0, 1), (1, 2), (0, 2)), (((0, 1), (1, 1), (2, -1)),))
     boundary = [0, 1, 2]
     target = rng.randint(1, max_faces)
-    while len(faces) < target:
+    while len(K.faces) < target:
         if rng.random() < 0.5:
             # cone a new vertex over a boundary edge
             t = rng.randrange(len(boundary))
             a, b = boundary[t], boundary[(t + 1) % len(boundary)]
-            e = next(
-                i for i, ends in enumerate(edges) if set(ends) == {a, b}
+            e = next(i for i, ends in enumerate(K.edges) if set(ends) == {a, b})
+            w, n = K.vertex_count, len(K.edges)
+            d = -1 if K.edges[e] == (a, b) else 1
+            K = DeltaComplex(
+                w + 1, K.edges + ((a, w), (w, b)), K.faces + (((n, 1), (n + 1, 1), (e, d)),)
             )
-            w = nv
-            nv += 1
-            e1 = len(edges)
-            edges.append((a, w))
-            e2 = len(edges)
-            edges.append((w, b))
-            d = -1 if edges[e] == (a, b) else 1
-            faces.append(((e1, 1), (e2, 1), (e, d)))
             boundary.insert(t + 1, w)
         else:
-            f = rng.randrange(len(faces))
-            walk = faces.pop(f)
-            c = nv
-            nv += 1
-            spokes = []
-            for de in walk:
-                tail = edges[de[0]][0] if de[1] == 1 else edges[de[0]][1]
-                spokes.append(len(edges))
-                edges.append((c, tail))
-            for i, de in enumerate(walk):
-                faces.append(((spokes[i], 1), de, (spokes[(i + 1) % 3], -1)))
+            K = stellar_subdivide_face(K, rng.randrange(len(K.faces)))
     return TriangulatedDisc(
-        DeltaComplex(nv, tuple(edges), tuple(faces), simplicial=True),
-        tuple(boundary),
+        DeltaComplex(K.vertex_count, K.edges, K.faces, simplicial=True), tuple(boundary)
     )
 
 
@@ -521,37 +506,16 @@ def pappus_counterexample(u: Quaternion, v: Quaternion) -> SkewConfiguration:
 
     vals = hexagon_edge_values(u, v)
     mc = pappus_torus_case1()
-    K, lab = mc.complex, mc.labeling
-
-    vertex_pts = {
-        0: (Quaternion.of(0), Quaternion.of(0)),
-        1: (Quaternion.of(1), Quaternion.of(0)),
-        2: (Quaternion.of(0), Quaternion.of(1)),
-    }
-    points: list = [None] * 12
-    for vtx, P in vertex_pts.items():
-        points[lab.p_vertex[vtx] - 1] = P
-    edge_pts = []
-    for e, (t, h) in enumerate(K.edges):
-        X = divide(vertex_pts[t], vertex_pts[h], vals[lab.p_edge[e]])
-        edge_pts.append(X)
-        points[lab.p_edge[e] - 1] = X
-
-    lines: list = [None] * 9
-    for e, (t, h) in enumerate(K.edges):
-        lines[lab.l_edge[e] - 1] = line_through(vertex_pts[t], vertex_pts[h])
-    zero_edge = mc.zero_pair()[0]
-    for f in range(len(K.faces)):
-        es = K.face_edges(f)
-        if f == mc.marked:
-            a, b = (e for e in set(es) if e != zero_edge)
-            lines[lab.l_face[f] - 1] = line_through(edge_pts[a], edge_pts[b])
-        else:
-            L = line_through(edge_pts[es[0]], edge_pts[es[1]])
-            assert incident_line(edge_pts[es[2]], L)
-            lines[lab.l_face[f] - 1] = L
-
-    config = SkewConfiguration(tuple(points), tuple(lines))
+    placement = place_tiling(
+        mc,
+        ((_ZERO, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE)),
+        tuple(vals[p] for p in mc.labeling.p_edge),
+        divide,
+        line_through,
+        incident_line,
+    )
+    assert placement is not None, "the five non-marked faces are flat"
+    config = SkewConfiguration(*map(tuple, placement))
     assert not incident_line(config.points[0], config.lines[0])
     return config
 
@@ -577,36 +541,20 @@ def desargues_soundness_sample(trials: int, seed: int = 0, sampler=None) -> dict
     if sampler is None:
         sampler = _default_sampler
     mc = desargues_tetrahedron()
-    K = mc.complex
     passes = 0
     rejected = 0
     for _ in range(trials):
         while True:
             base, gauge = sampler(rng)
-            degenerate = any(
-                collinear(base[a], base[b], base[c])
-                for a in range(4)
-                for b in range(a + 1, 4)
-                for c in range(b + 1, 4)
-            )
-            values = coboundary_values(K, gauge)
+            degenerate = any(collinear(*abc) for abc in combinations(base, 3))
+            values = coboundary_values(mc.complex, gauge)
             if degenerate or any(val == _ONE for val in values):
                 rejected += 1
                 continue
             break
-        edge_pts = [
-            divide(base[t], base[h], values[e]) for e, (t, h) in enumerate(K.edges)
-        ]
-        for f in range(len(K.faces)):
-            es = K.face_edges(f)
-            if f != mc.marked:
-                assert collinear(edge_pts[es[0]], edge_pts[es[1]], edge_pts[es[2]])
-        es = K.face_edges(mc.marked)
-        acc = _ONE
-        for e, d in K.faces[mc.marked]:
-            acc = acc * (values[e] if d == 1 else values[e].inverse())
-        if acc == _ONE and collinear(
-            edge_pts[es[0]], edge_pts[es[1]], edge_pts[es[2]]
-        ):
+        placement = place_tiling(mc, base, values, divide, line_through, incident_line)
+        assert placement is not None, "telescoping values are flat on every face"
+        points, lines = placement
+        if incident_line(points[0], lines[0]):
             passes += 1
     return {"trials": trials, "passes": passes, "rejected": rejected}

@@ -2,18 +2,19 @@
 
 A cochain over Z/n that fails to excise the marked face maps, through a
 generator of the field's nonzero elements, to edge values whose product
-around every other face is 1.  `realize_from_cochain` places vertex
-points in general position and builds the configuration of the marked
-complex's generated matrix from those values; when the product around
-the marked face differs from 1, that configuration refutes the theorem.
+around every other face is 1.  `realize_from_cochain` searches for
+vertex points in general position and places the tiling from them and
+those values (`surfaces.place_tiling`), giving a configuration of the
+marked complex's generated matrix; when the product around the marked
+face differs from 1, that configuration refutes the theorem.
 """
 
 from __future__ import annotations
 
 from .fields import field
-from .plane import DEFAULT_CHART, Configuration, all_points, dot, join, meet, point_at_ratio
+from .plane import INFINITY, Configuration, all_points, dot, incident, join, point_at_ratio
 from .search import verify_configuration
-from .surfaces import generate_theorem
+from .surfaces import generate_theorem, place_tiling
 
 
 class CochainViolatesF(ValueError):
@@ -24,23 +25,16 @@ class PlacementFailed(ValueError):
     """The plane is structurally too small to host the vertex points."""
 
 
-def _generator(F):
-    """A multiplicative generator of the field's nonzero elements."""
+def _powers(F) -> list[int]:
+    """g^0, g^1, ..., g^(q-2) for the least generator g of the field's
+    nonzero elements."""
     for g in range(1, F.q):
-        x, order = g, 1
-        while x != 1:
-            x = F.mul(x, g)
-            order += 1
-        if order == F.q - 1:
-            return g
+        powers = [1]
+        while len(powers) < F.q - 1 and F.mul(powers[-1], g) != 1:
+            powers.append(F.mul(powers[-1], g))
+        if len(powers) == F.q - 1:
+            return powers
     raise AssertionError("the multiplicative group of a finite field is cyclic")
-
-
-def _pow(F, g: int, e: int) -> int:
-    acc = 1
-    for _ in range(e):
-        acc = F.mul(acc, g)
-    return acc
 
 
 def multiplicative_cochain(u, q: int) -> tuple[int, ...]:
@@ -49,34 +43,27 @@ def multiplicative_cochain(u, q: int) -> tuple[int, ...]:
     F = field(q)
     if (q - 1) % u.modulus:
         raise ValueError(f"Z/{u.modulus} does not embed in a group of order {q - 1}")
-    g = _generator(F)
+    powers = _powers(F)
     step = (q - 1) // u.modulus
-    return tuple(_pow(F, g, (v % u.modulus) * step) for v in u.values)
-
-
-def _edge_point(F, A, B, k):
-    """The point on line AB dividing it at ratio k; ratio 1 names the
-    improper point of the line."""
-    if k == 1:
-        return meet(F, join(F, A, B), DEFAULT_CHART)
-    return point_at_ratio(F, A, B, k)
+    return tuple(powers[(v % u.modulus) * step] for v in u.values)
 
 
 def realize_from_cochain(mc, values, q: int):
     """Build a configuration with the marked complex's generated matrix
     from nonzero field elements on the edges whose product around every
-    non-marked face is 1: vertex points with no three collinear, edge
-    lines as joins, edge points at the given ratios, face lines through
-    the resulting collinear triples, and the conclusion line through two
-    of the marked face's edge points.  When the product around the marked
-    face differs from 1, any returned configuration refutes the theorem's
-    conclusion.  Returns None when no suitable placement exists over this
-    field order.
+    non-marked face is 1: vertex points with no three collinear, placed
+    by `place_tiling` with ratio 1 naming an edge's improper point.  When
+    the product around the marked face differs from 1, any returned
+    configuration refutes the theorem's conclusion.  Returns None when no
+    suitable placement exists over this field order.
     """
     F = field(q)
-    K, lab = mc.complex, mc.labeling
+    K = mc.complex
     mat = generate_theorem(mc)
-    values = tuple(int(v) for v in values)
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:  # not a float, and not a bool
+            raise ValueError(f"edge values must be integers, not {v!r}")
     if len(values) != len(K.edges):
         raise ValueError("need one field element per edge")
     if any(not 1 <= v < q for v in values):
@@ -112,31 +99,17 @@ def realize_from_cochain(mc, values, q: int):
         return True
 
     def build():
-        points = [None] * mat.m
-        lines = [None] * mat.n
-        edge_pts = []
-        for v in range(nv):
-            points[lab.p_vertex[v] - 1] = placed[v]
-        for e, (t, h) in enumerate(K.edges):
-            line = join(F, placed[t], placed[h])
-            X = _edge_point(F, placed[t], placed[h], values[e])
-            lines[lab.l_edge[e] - 1] = line
-            points[lab.p_edge[e] - 1] = X
-            edge_pts.append(X)
-        zero_edge = mc.zero_pair()[0]
-        for f in range(len(K.faces)):
-            es = K.face_edges(f)
-            if f == mc.marked:
-                a, b = (e for e in set(es) if e != zero_edge)
-            else:
-                a, b = es[0], es[1]
-            L = join(F, edge_pts[a], edge_pts[b])
-            if L is None:
-                return None
-            if f != mc.marked and dot(F, edge_pts[es[2]], L) != 0:
-                return None  # product-1 relation should force collinearity
-            lines[lab.l_face[f] - 1] = L
-        config = Configuration(q, tuple(points), tuple(lines))
+        placement = place_tiling(
+            mc,
+            placed,
+            values,
+            lambda A, B, k: point_at_ratio(F, A, B, INFINITY if k == 1 else k),
+            lambda P, Q: join(F, P, Q),
+            lambda P, L: incident(F, P, L),
+        )
+        if placement is None:
+            return None
+        config = Configuration(q, *map(tuple, placement))
         return config if verify_configuration(mat, config) else None
 
     def search(depth: int):

@@ -6,6 +6,9 @@ torus built from six triangles has only three vertices).  A labeling
 assigns point indices to vertices and edges and line indices to faces
 and edges; a labeled complex with a marked face encodes an incidence
 theorem whose matrix is forced on all cells touched by the complex.
+Placed in a plane from one point per vertex and one ratio per edge
+(`place_tiling`), it yields that theorem's configuration over GF(q) or
+over the quaternions.
 """
 
 from __future__ import annotations
@@ -380,7 +383,7 @@ class MarkedComplex(JsonText):
         return cls(K, Labeling(*labels), marked - 1)
 
 
-# -- the cells a labeled tiling mandates ----------------------------------
+# -- the cells a labeled tiling mandates, and its placement in a plane ----
 
 
 def mandated_cells(mc: MarkedComplex):
@@ -414,6 +417,40 @@ def mandated_cells(mc: MarkedComplex):
                 if (kind, i, j) not in seen:
                     seen.add((kind, i, j))
                     yield kind, i, j, p, le[j], -1
+
+
+def place_tiling(mc: MarkedComplex, vertex_points, values, divide, join, incident):
+    """Place a labeled tiling in a plane from one point per vertex and one
+    ratio per edge.  Each edge point is divide(A, B, k), the point X on
+    the edge's line AB with A - X = k (B - X); each edge line joins the
+    edge's ends; each face line joins the face's first two edge points,
+    and the marked face's line the two that are not the conclusion point.
+    join gives None for equal points.  Returns (points, lines) indexed by
+    label - 1, or None when a face's two edge points coincide or a
+    non-marked face's edge points do not lie on one line."""
+    K, lab = mc.complex, mc.labeling
+    points = [None] * lab.max_point()
+    lines = [None] * lab.max_line()
+    for v, P in enumerate(vertex_points):
+        points[lab.p_vertex[v] - 1] = P
+    edge_points = []
+    for e, (t, h) in enumerate(K.edges):
+        A, B = vertex_points[t], vertex_points[h]
+        edge_points.append(divide(A, B, values[e]))
+        points[lab.p_edge[e] - 1] = edge_points[e]
+        lines[lab.l_edge[e] - 1] = join(A, B)
+    zero_edge = mc.zero_pair()[0]
+    for f in range(len(K.faces)):
+        es = K.face_edges(f)
+        if f == mc.marked:
+            a, b = (e for e in set(es) if e != zero_edge)
+        else:
+            a, b = es[0], es[1]
+        L = join(edge_points[a], edge_points[b])
+        if L is None or f != mc.marked and not incident(edge_points[es[2]], L):
+            return None
+        lines[lab.l_face[f] - 1] = L
+    return points, lines
 
 
 # -- validation -----------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -476,6 +477,20 @@ class TestQuat:
         )
         assert code == 1
 
+    def test_huge_exponent_is_a_usage_error_within_a_second(self, capsys):
+        # Fraction("1e100000") would build a 100,001-digit power, and the
+        # construction would then run for minutes
+        start = time.perf_counter()
+        code = main(["quat", "pappus", "--u", "1e100000,1,0,0", "--v", "j"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "error: bad quaternion component '1e100000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u", ["1e3,1,0,0", "1e1000,1,0,0", "1,0,0,1E-0_999"])
+    def test_exponents_up_to_the_bound_are_accepted(self, capsys, u):
+        assert main(["quat", "pappus", "--u", u, "--v", "j"]) == 1
+        capsys.readouterr()
+
 
 class TestPlumbing:
     def test_selftest_passes(self, capsys):
@@ -720,8 +735,10 @@ GROUPS = st.one_of(
 )
 QUATERNIONS = st.one_of(
     st.sampled_from(["1", "i", "j", "k"]),
-    st.lists(st.sampled_from(["0", "1", "-2", "1/2", "3/-4", "1e3", "2/0", "nan"]),
-             min_size=4, max_size=4).map(",".join),
+    st.lists(
+        st.sampled_from(["0", "1", "-2", "1/2", "3/-4", "1e3", "1e100000", "2/0", "nan"]),
+        min_size=4, max_size=4,
+    ).map(",".join),
     TEXT,
 )
 SEEDS = st.lists(

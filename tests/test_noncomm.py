@@ -321,6 +321,11 @@ class TestPappusCounterexample:
             with pytest.raises(DimensionMismatch):
                 verify_skew_configuration(mat, cfg)
 
+    def test_coincident_points_span_no_line(self):
+        P = (Quaternion.of(1, 2), J)
+        assert line_through(P, P) is None
+        assert incident_line(P, line_through(P, (ONE, K)))
+
     def test_json_round_trip(self):
         cfg = pappus_counterexample(I, J)
         assert SkewConfiguration.from_json_obj(cfg.to_json_obj()) == cfg

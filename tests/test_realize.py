@@ -111,6 +111,13 @@ class TestRejections:
         with pytest.raises(ValueError):
             realize_from_cochain(mc, (0, 1, 1), 3)
 
+    @pytest.mark.parametrize("bad", [1.9, True, 2.0])
+    def test_non_integer_value_rejected(self, bad):
+        # int() would turn 1.9 into 1 and True into 1 without a word
+        mc = one_line_complex()
+        with pytest.raises(ValueError, match="must be integers"):
+            realize_from_cochain(mc, (bad, 1, 1), 3)
+
     def test_wrong_length_rejected(self):
         mc = one_line_complex()
         with pytest.raises(ValueError):

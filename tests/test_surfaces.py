@@ -23,7 +23,15 @@ from tilingcalc.complexes import (
     pappus_torus_case2,
 )
 from tilingcalc.excision import GroupSpec, can_excise, failing_cochain
-from tilingcalc.noncomm import desargues_soundness_sample, random_disc
+from tilingcalc.noncomm import (
+    Quaternion,
+    coboundary_values,
+    desargues_soundness_sample,
+    divide,
+    incident_line,
+    line_through,
+    random_disc,
+)
 from tilingcalc.realize import multiplicative_cochain, realize_from_cochain
 from tilingcalc.search import check_theorem
 from tilingcalc.surfaces import (
@@ -39,6 +47,8 @@ from tilingcalc.surfaces import (
     generate_theorem,
     is_closed_orientable_surface,
     octahedral_subdivide,
+    mandated_cells,
+    place_tiling,
     validate_elementary_proof,
 )
 from tilingcalc.ternary import contradiction_form
@@ -342,6 +352,39 @@ class TestWouldBe6Gon:
         # the three corners are never forced apart: corner 9 may land on
         # the transversal (line 9), corners 10/11 on the wrong carrier
         assert {(9, 9), (10, 3), (11, 2)} <= cells
+
+
+class TestPlaceTiling:
+    """The tetrahedron placed in the quaternion plane from four base
+    points and edge values g(tail)·g(head)⁻¹."""
+
+    BASE = [(Quaternion.of(x), Quaternion.of(y)) for x, y in ((0, 0), (1, 0), (0, 1), (2, 3))]
+    GAUGE = [Quaternion.of(2), Quaternion.i(), Quaternion.j(), Quaternion.of(1, 1, 1, 0)]
+
+    def place(self, values):
+        mc = desargues_tetrahedron()
+        return place_tiling(mc, self.BASE, values, divide, line_through, incident_line)
+
+    def test_flat_values_place_every_label(self):
+        mc = desargues_tetrahedron()
+        points, lines = self.place(coboundary_values(mc.complex, self.GAUGE))
+        assert len(points) == mc.labeling.max_point() and None not in points
+        assert len(lines) == mc.labeling.max_line() and None not in lines
+        for _, _, _, p, l, sign in mandated_cells(mc):
+            assert incident_line(points[p - 1], lines[l - 1]) == (sign == 1)
+        # the values telescope around the marked face too: the conclusion holds
+        assert incident_line(points[0], lines[0])
+
+    def test_a_non_flat_face_places_nothing(self):
+        mc = desargues_tetrahedron()
+        K = mc.complex
+        values = list(coboundary_values(K, self.GAUGE))
+        # twist an edge whose two faces are both hypotheses
+        e = next(
+            e for e in range(len(K.edges)) if mc.marked not in K.faces_of_edge(e)
+        )
+        values[e] = values[e] * Quaternion.k()
+        assert self.place(values) is None
 
 
 def digest(objs) -> str:
