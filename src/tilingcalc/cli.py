@@ -289,14 +289,14 @@ def _cmd_quat(args) -> int:
     u = _parse_quaternion(args.u)
     v = _parse_quaternion(args.v)
     config = pappus_counterexample(u, v)
-    _emit(
-        _report(
-            args,
-            u=u.to_json_obj(),
-            v=v.to_json_obj(),
-            counterexample=config.to_json_obj(),
-        )
-    )
+    try:
+        counterexample = config.to_json_obj()
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise UsageError(
+            f"the counterexample for --u {args.u[:40]!r} and --v {args.v[:40]!r} "
+            "has a coordinate with too many digits to write; use shorter components"
+        ) from exc
+    _emit(_report(args, u=u.to_json_obj(), v=v.to_json_obj(), counterexample=counterexample))
     return 1  # a counterexample was produced
 
 

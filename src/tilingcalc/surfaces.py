@@ -110,24 +110,19 @@ class DeltaComplex:
             if key in seen:
                 raise NotSimplicial(f"edges {seen[key]} and {e} share endpoints")
             seen[key] = e
+        corners: dict[frozenset, list[int]] = {}
         for f in range(len(self.faces)):
-            if len(set(self.face_vertices(f))) != 3:
+            vs = frozenset(self.face_vertices(f))
+            if len(vs) != 3:
                 raise NotSimplicial(f"face {f} has repeated vertices")
-        for f in range(len(self.faces)):
-            for g in range(f + 1, len(self.faces)):
-                shared_v = set(self.face_vertices(f)) & set(self.face_vertices(g))
-                shared_e = set(self.face_edges(f)) & set(self.face_edges(g))
-                if len(shared_e) > 1:
-                    raise NotSimplicial(f"faces {f} and {g} share two edges")
-                if len(shared_e) == 1:
-                    if shared_v != set(self.edges[next(iter(shared_e))]):
-                        raise NotSimplicial(
-                            f"faces {f} and {g} meet beyond their shared edge"
-                        )
-                elif len(shared_v) > 1:
-                    raise NotSimplicial(
-                        f"faces {f} and {g} share vertices but no edge"
-                    )
+            corners.setdefault(vs, []).append(f)
+        # Each face's edges are now the edges on its three vertex pairs, so
+        # two faces on two common vertices share just the edge joining them,
+        # and two faces meet wrongly only on three, sharing all three edges.
+        twins = [fs[:2] for fs in corners.values() if len(fs) > 1]
+        if twins:
+            f, g = min(twins)
+            raise NotSimplicial(f"faces {f} and {g} share two edges")
 
     # -- serialization ----------------------------------------------------
 
@@ -254,14 +249,28 @@ def cycle_order(pairs) -> list | None:
     return None
 
 
-def is_closed_orientable_surface(K: DeltaComplex):
-    """Per-face direction choices (+1 keep, -1 flip) orienting K as a
-    connected closed orientable surface, or None."""
-    # each edge must be traversed exactly twice in total
+def closing_signs(K: DeltaComplex) -> dict[int, int] | None:
+    """Face signs (+1 keep, -1 flip) under which the faces' boundary rows
+    sum to zero, or None.  They are sought only when every edge lies on
+    exactly two face sides; `orient` gives them, and the sum is checked,
+    so signs returned are their own certificate."""
     uses = edge_uses(K)
     if len(uses) != len(K.edges) or any(len(u) != 2 for u in uses.values()):
         return None
     sign = orient(K, uses)
+    if sign is None:
+        return None
+    total = [0] * len(K.edges)
+    for f, face in enumerate(K.faces):
+        for e, d in face:
+            total[e] += sign[f] * d
+    return None if any(total) else sign
+
+
+def is_closed_orientable_surface(K: DeltaComplex):
+    """Per-face direction choices (+1 keep, -1 flip) orienting K as a
+    connected closed orientable surface, or None."""
+    sign = closing_signs(K)
     if sign is None:
         return None
     # vertex links must be single cycles
@@ -486,7 +495,12 @@ def validate_elementary_proof(
 ) -> ValidationReport:
     """Check the labeled complex against the matrix: the mandated +1 and
     -1 cells, and (when a group is given) excisability of the marked open
-    face.  The unique (1,1) pair is the complex's own invariant."""
+    face.  The unique (1,1) pair is the complex's own invariant.
+
+    A complex with closing signs (`closing_signs`) excises its marked face
+    over every group without a Smith normal form: its signed boundary rows
+    sum to zero, so the marked row is an integer combination of the
+    others.  Any other complex is decided by `excision.can_excise`."""
     K, lab = mc.complex, mc.labeling
     if lab.max_point() > mat.m or lab.max_line() > mat.n:
         raise ValueError("labels exceed matrix dimensions")
@@ -498,7 +512,7 @@ def validate_elementary_proof(
     if group is not None:
         from .excision import can_excise
 
-        report.excisable = can_excise(K, mc.marked, group)
+        report.excisable = closing_signs(K) is not None or can_excise(K, mc.marked, group)
     return report
 
 

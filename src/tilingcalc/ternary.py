@@ -159,8 +159,9 @@ def _masks(grid):
     return P, N, RP, RN
 
 
-def contradicts_incidence_axiom(mat: IncidenceMatrix) -> PatternWitness | None:
-    """Find a forbidden submatrix, or None.
+def contradicts_incidence_axiom(mat: IncidenceMatrix, masks=None) -> PatternWitness | None:
+    """Find a forbidden submatrix, or None.  ``masks`` are the ``_masks``
+    of the matrix's rows, for a caller that already holds them.
 
     Instead of trying all 3x3 submatrices with all permutations, look for
     an ordered pair of columns (c1, c2) sharing two rows (r2, r3) of +1s,
@@ -169,7 +170,7 @@ def contradicts_incidence_axiom(mat: IncidenceMatrix) -> PatternWitness | None:
     of ``_masks``, P[c1] & P[c2], N[c1] & P[c2] and RP[r2] & RN[r3].  The
     brute-force equivalent lives in the test suite.
     """
-    P, N, RP, RN = _masks(mat.rows())
+    P, N, RP, RN = masks or _masks(mat.rows())
     for c1, c2 in permutations(range(mat.n), 2):
         shared, seps = P[c1] & P[c2], N[c1] & P[c2]
         if seps and shared & (shared - 1):  # a separating row, two shared rows
@@ -258,7 +259,7 @@ def propagate(
     plus_rows = [[i for i, row in enumerate(grid) if row[j] == PLUS] for j in range(mat.n)]
     plus_cols = [[j for j, v in enumerate(row) if v == PLUS] for row in grid]
     P, N, RP, RN = _masks(grid)
-    broken = contradicts_incidence_axiom(IncidenceMatrix(grid)) is not None
+    broken = contradicts_incidence_axiom(IncidenceMatrix(grid), (P, N, RP, RN)) is not None
 
     sweeps = 0
     while max_sweeps == "fixpoint" or sweeps < max_sweeps:

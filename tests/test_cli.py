@@ -486,6 +486,16 @@ class TestQuat:
         assert code == 2
         assert "error: bad quaternion component '1e100000'" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+    )
+    def test_coordinates_past_the_digit_limit_name_the_inputs(self, capsys):
+        code = main(["quat", "pappus", "--u", "1e1000,1,0,0", "--v", "1e-1000,0,1,0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--u '1e1000,1,0,0' and --v '1e-1000,0,1,0'" in err
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("u", ["1e3,1,0,0", "1e1000,1,0,0", "1,0,0,1E-0_999"])
     def test_exponents_up_to_the_bound_are_accepted(self, capsys, u):
         assert main(["quat", "pappus", "--u", u, "--v", "j"]) == 1

@@ -30,7 +30,16 @@ from tilingcalc.excision import (
     witness_modulus,
 )
 from tilingcalc.gropes import random_closed_surface
-from tilingcalc.surfaces import DeltaComplex, FaceNotFound, MarkedComplex
+from tilingcalc.surfaces import (
+    DeltaComplex,
+    FaceNotFound,
+    Labeling,
+    MarkedComplex,
+    closing_signs,
+    generate_theorem,
+    octahedral_subdivide,
+    validate_elementary_proof,
+)
 
 FIXTURES = [
     desargues_tetrahedron,
@@ -366,6 +375,93 @@ class TestValidateIntegration:
         assert report.excisable is False and not report.ok
         good = validate_elementary_proof(mc, generate_theorem(mc), GroupSpec.reals())
         assert good.excisable is True and good.ok
+
+
+class TestClosingSigns:
+    """Closing signs let `validate_elementary_proof` excise a marked face
+    without a Smith normal form; they must agree with `can_excise`."""
+
+    GROUPS = [
+        GroupSpec.reals(),
+        GroupSpec.complexes(),
+        GroupSpec(False, (2,)),
+        GroupSpec(False, (3,)),
+        GroupSpec(False, (4,)),
+        GroupSpec(True, (6,)),
+    ]
+    SURFACES = [desargues_tetrahedron, one_line_complex, pappus_torus_case1, pappus_torus_case2]
+
+    def assert_faces_excise(self, K, faces):
+        assert closing_signs(K) is not None
+        for f in faces:
+            assert all(can_excise(K, f, G) for G in self.GROUPS), f
+
+    @pytest.mark.parametrize("builder", SURFACES)
+    def test_every_face_of_a_fixture_and_its_subdivision_excises(self, builder):
+        K = builder().complex
+        self.assert_faces_excise(K, range(len(K.faces)))
+        sub = octahedral_subdivide(builder())
+        K = sub.complex
+        # a Smith normal form per face costs about 60 ms on the 60-face
+        # subdivided tori, so those take the marked face and two others
+        faces = range(len(K.faces))
+        if len(faces) > 40:
+            faces = [sub.marked] + random.Random(len(faces)).sample(faces, 2)
+        self.assert_faces_excise(K, faces)
+
+    def test_every_face_of_random_closed_surfaces_excises(self):
+        for seed in range(50):
+            K = random_closed_surface(random.Random(seed), max_faces=12)
+            self.assert_faces_excise(K, range(len(K.faces)))
+
+    def spy_snf(self, monkeypatch):
+        import tilingcalc.excision as excision
+
+        calls = []
+
+        def spy(A):
+            calls.append(len(A))
+            return smith_normal_form(A)
+
+        monkeypatch.setattr(excision, "smith_normal_form", spy)
+        _factorisation.cache_clear()
+        excision._classes.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("name,snf", [("desargues", False), ("pappus", False), ("nine-gon", True)])
+    def test_certificate_leaves_need_a_smith_normal_form_only_off_surfaces(
+        self, monkeypatch, name, snf
+    ):
+        from tilingcalc.certificates import SHIPPED_CERTIFICATES, validate_certificate
+
+        calls = self.spy_snf(monkeypatch)
+        assert validate_certificate(SHIPPED_CERTIFICATES[name]()).ok
+        assert bool(calls) == snf
+
+    def test_other_complexes_fall_through_with_the_same_verdicts(self, monkeypatch):
+        from tilingcalc.complexes import nine_gon_grope
+        from tilingcalc.ternary import IncidenceMatrix
+
+        # a Klein bottle: one vertex, three loops, faces a·b·c⁻¹ and a·b⁻¹·c;
+        # each edge lies on two face sides, but no signs orient them
+        K = DeltaComplex(
+            1, ((0, 0), (0, 0), (0, 0)), (((0, 1), (1, 1), (2, -1)), ((0, 1), (1, -1), (2, 1)))
+        )
+        klein_bottle = MarkedComplex(K, Labeling((2,), (1, 3, 4), (1, 2), (3, 4, 5)), 0)
+        grope = nine_gon_grope()
+        for mc, mat in (
+            (klein_bottle, IncidenceMatrix([[0] * 5] * 4)),
+            (grope, generate_theorem(grope)),
+        ):
+            assert closing_signs(mc.complex) is None
+            verdicts = set()
+            for G in self.GROUPS:
+                calls = self.spy_snf(monkeypatch)
+                report = validate_elementary_proof(mc, mat, G)
+                assert calls
+                assert report.excisable == can_excise(mc.complex, mc.marked, G)
+                verdicts.add(report.excisable)
+            assert verdicts == {True, False}
 
 
 class TestRandomClosedSurfaces:

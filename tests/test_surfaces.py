@@ -23,6 +23,7 @@ from tilingcalc.complexes import (
     pappus_torus_case2,
 )
 from tilingcalc.excision import GroupSpec, can_excise, failing_cochain
+from tilingcalc.gropes import random_closed_surface
 from tilingcalc.noncomm import (
     Quaternion,
     coboundary_values,
@@ -62,6 +63,55 @@ def one_vertex_complex(face2):
     )
 
 
+def pairwise_simplicial_violation(K):
+    """The quadratic check that `DeltaComplex._check_simplicial` replaces,
+    kept as its reference: the message of the first violation, or None."""
+    for t, h in K.edges:
+        if t == h:
+            return "edge with equal endpoints"
+    seen = {}
+    for e, (t, h) in enumerate(K.edges):
+        key = frozenset((t, h))
+        if key in seen:
+            return f"edges {seen[key]} and {e} share endpoints"
+        seen[key] = e
+    for f in range(len(K.faces)):
+        if len(set(K.face_vertices(f))) != 3:
+            return f"face {f} has repeated vertices"
+    for f in range(len(K.faces)):
+        for g in range(f + 1, len(K.faces)):
+            shared_v = set(K.face_vertices(f)) & set(K.face_vertices(g))
+            shared_e = set(K.face_edges(f)) & set(K.face_edges(g))
+            if len(shared_e) > 1:
+                return f"faces {f} and {g} share two edges"
+            if len(shared_e) == 1:
+                if shared_v != set(K.edges[next(iter(shared_e))]):
+                    return f"faces {f} and {g} meet beyond their shared edge"
+            elif len(shared_v) > 1:
+                return f"faces {f} and {g} share vertices but no edge"
+    return None
+
+
+def random_triangle_soup(rng):
+    """Triangles on random vertex triples of a few vertices, one edge per
+    vertex pair, stored in a random direction."""
+    n = rng.randint(4, 7)
+    edges, index, faces = [], {}, []
+    for _ in range(rng.randint(2, 10)):
+        corners = rng.sample(range(n), 3)
+        walk = []
+        for k in range(3):
+            a, b = corners[k], corners[(k + 1) % 3]
+            key = frozenset((a, b))
+            if key not in index:
+                index[key] = len(edges)
+                edges.append((a, b) if rng.random() < 0.5 else (b, a))
+            e = index[key]
+            walk.append((e, 1 if edges[e] == (a, b) else -1))
+        faces.append(tuple(walk))
+    return DeltaComplex(n, tuple(edges), tuple(faces))
+
+
 class TestDeltaComplex:
     def test_walk_must_chain(self):
         with pytest.raises(BadComplex):
@@ -82,6 +132,24 @@ class TestDeltaComplex:
     def test_simplicial_rejects_parallel_edges(self):
         with pytest.raises(NotSimplicial):
             DeltaComplex(2, ((0, 1), (0, 1)), (), simplicial=True)
+
+    def test_simplicial_check_matches_the_pairwise_reference(self):
+        rng = random.Random(11)
+        complexes = [random_closed_surface(rng, max_faces=16) for _ in range(100)]
+        complexes += [random_triangle_soup(rng) for _ in range(400)]
+        complexes += [
+            octahedral_subdivide(builder()).complex
+            for builder in (desargues_tetrahedron, one_line_complex, pappus_torus_case1)
+        ]
+        messages = []
+        for K in complexes:
+            try:
+                DeltaComplex(K.vertex_count, K.edges, K.faces, simplicial=True)
+                messages.append(None)
+            except NotSimplicial as exc:
+                messages.append(str(exc))
+        assert messages == [pairwise_simplicial_violation(K) for K in complexes]
+        assert {m is None for m in messages} == {True, False}
 
     def test_face_accessors(self):
         K = desargues_tetrahedron().complex
