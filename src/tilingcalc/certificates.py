@@ -400,7 +400,7 @@ def pappus_certificate() -> Certificate:
 
 def desargues_certificate() -> Certificate:
     """One-leaf certificate: the labeled tetrahedron proves its own
-    generated theorem directly."""
+    generated theorem directly, over F_2* (the trivial group)."""
     from .complexes import desargues_tetrahedron
     from .surfaces import generate_theorem
 
@@ -422,7 +422,8 @@ def one_line_certificate() -> Certificate:
 def nine_gon_certificate() -> Certificate:
     """One-leaf certificate for the closed 9-chain theorem on the
     triply-wrapped fan; its marked face is excisable over the chosen
-    group (order-2 model) but not over groups with 3-torsion."""
+    group, F_2* (the trivial group: torsion (1,), where every face
+    excises), but not over groups with 3-torsion."""
     from .complexes import nine_gon_grope
     from .surfaces import generate_theorem
 

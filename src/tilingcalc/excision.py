@@ -297,7 +297,12 @@ def can_excise(K: DeltaComplex, face: int, G: GroupSpec) -> bool:
     """True iff every G-valued edge labeling satisfying the triangle
     relation on all other faces satisfies it on this face: no coordinate
     of its class fails over G.  Over all roots of unity a torsion
-    coordinate of order d fails when it fails over Z/d."""
+    coordinate of order d fails when it fails over Z/d.  The trivial group
+    (no infinite order, every torsion order 1) excises every face."""
+    if not 0 <= face < len(K.faces):
+        raise FaceNotFound(face)
+    if not G.infinite and G.torsion != FULL and all(m == 1 for m in G.torsion):
+        return True
     for x, d in _quotient_class(K, face):
         if d == 0 and (G.infinite or G.torsion == FULL):
             if x:

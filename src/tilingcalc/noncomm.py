@@ -404,23 +404,19 @@ def evaluate_boundary(D: TriangulatedDisc, values):
         walk = K.faces[f]
         face_edges = {e for e, _ in walk}
         n = len(word)
-        positions = [t for t, (e, _) in enumerate(word) if e in face_edges]
+        run = [t for t, (e, _) in enumerate(word) if e in face_edges]
         # gather the run cyclically
-        run = sorted(positions)
         if len(run) == 2 and run == [0, n - 1]:
             run = [n - 1, 0]
         start_v = K.de_tail(word[run[0]])
         end_v = K.de_head(word[run[-1]])
-        replacement = _walk_path(
-            K, walk, start_v, end_v, {word[t][0] for t in run}
-        )
-        keep = [word[t] for t in range(n) if t not in set(run)]
+        in_run = set(run)
+        replacement = _walk_path(K, walk, start_v, end_v, {word[t][0] for t in in_run})
         # splice at the position of the run
         cut = run[0] if run[0] < run[-1] or len(run) == 1 else run[-1]
-        before = [word[t] for t in range(cut) if t not in set(run)]
-        after = [word[t] for t in range(cut, n) if t not in set(run)]
+        before = [word[t] for t in range(cut) if t not in in_run]
+        after = [word[t] for t in range(cut, n) if t not in in_run]
         word = before + replacement + after
-        assert len(keep) + len(replacement) == len(word)
     shelled = _ONE
     for de in word:
         shelled = shelled * of(de)

@@ -285,10 +285,6 @@ def is_closed_orientable_surface(K: DeltaComplex):
     return tuple(sign[f] for f in range(len(K.faces)))
 
 
-def euler_characteristic(K: DeltaComplex) -> int:
-    return K.vertex_count - len(K.edges) + len(K.faces)
-
-
 # -- labelings ------------------------------------------------------------
 
 

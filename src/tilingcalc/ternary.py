@@ -49,9 +49,11 @@ class JsonText:
 
 
 class IncidenceMatrix(JsonText):
-    """Immutable m x n grid over {-1, 0, +1}."""
+    """Immutable m x n grid over {-1, 0, +1}.  A matrix that ``propagate``
+    returns also holds the state its scan ended with (``_fill``), so that
+    propagating it again starts from there; any other matrix holds None."""
 
-    __slots__ = ("m", "n", "_rows")
+    __slots__ = ("m", "n", "_rows", "_fill")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         rows = tuple(tuple(row) for row in entries)
@@ -67,6 +69,7 @@ class IncidenceMatrix(JsonText):
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_fill", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("IncidenceMatrix is immutable")
@@ -234,17 +237,32 @@ def propagate(
     nothing, or until ``max_sweeps`` sweeps have run.  Only -1 is ever
     committed by scanning, so the result refines the input.
 
-    Until the grid holds a pattern, a cell the scan fills is checked
-    with ``_completes_pattern`` for the patterns through that cell only:
-    the grid held none before, and filling a zero cell never removes
-    one, so any new pattern uses the changed cell.  The grid is held as
-    per-column row bitmasks and per-row column bitmasks for that test.
-    Once the grid holds a pattern (after seeding, or completed by a -1
-    commit), every zero cell scanned becomes -1.
+    Until the grid holds a pattern, a seed and a cell the scan fills are
+    checked with ``_completes_pattern`` for the patterns through that
+    cell only: the grid held none before, and filling a zero cell never
+    removes one, so any new pattern uses the changed cell.  The grid is
+    held as per-column row bitmasks and per-row column bitmasks for that
+    test.  Once the grid holds a pattern (before a seed, after one, or
+    completed by a -1 commit), every zero cell scanned becomes -1.
+
+    The returned matrix keeps that state: the masks, the +1 rows of each
+    column and +1 columns of each row, and whether the grid holds a
+    pattern.  Propagating it again copies that state instead of
+    rebuilding it and searching the whole grid for a pattern.
     """
     if max_sweeps != "fixpoint" and (not isinstance(max_sweeps, int) or max_sweeps < 0):
         raise ValueError("max_sweeps must be 'fixpoint' or a nonnegative int")
     grid = [list(r) for r in mat.rows()]
+    if mat._fill is None:
+        masks = _masks(grid)
+        broken = contradicts_incidence_axiom(mat, masks) is not None
+        # scanning commits only -1, so only a +1 seed changes these lists
+        plus_rows = [[i for i, row in enumerate(grid) if row[j] == PLUS] for j in range(mat.n)]
+        plus_cols = [[j for j, v in enumerate(row) if v == PLUS] for row in grid]
+    else:
+        masks, plus_rows, plus_cols, broken = mat._fill
+        plus_rows, plus_cols = list(plus_rows), list(plus_cols)  # inner lists are replaced
+    P, N, RP, RN = (list(mask) for mask in masks)
     for i, j, v in seeds:
         if not (1 <= i <= mat.m and 1 <= j <= mat.n):
             raise IndexError(f"seed cell ({i},{j}) lies outside the {mat.m}x{mat.n} matrix")
@@ -254,12 +272,20 @@ def propagate(
         if cur != ZERO and cur != v:
             raise SeedConflict(f"seed ({i},{j})={v} conflicts with entry {cur}")
         grid[i - 1][j - 1] = v
-
-    # scanning commits only -1, so the +1 entries stay as seeded
-    plus_rows = [[i for i, row in enumerate(grid) if row[j] == PLUS] for j in range(mat.n)]
-    plus_cols = [[j for j, v in enumerate(row) if v == PLUS] for row in grid]
-    P, N, RP, RN = _masks(grid)
-    broken = contradicts_incidence_axiom(IncidenceMatrix(grid), (P, N, RP, RN)) is not None
+        if cur == v:
+            continue
+        i, j = i - 1, j - 1
+        if v == PLUS:
+            P[j] |= 1 << i
+            RP[i] |= 1 << j
+            plus_rows[j] = plus_rows[j] + [i]
+            plus_cols[i] = plus_cols[i] + [j]
+        else:
+            N[j] |= 1 << i
+            RN[i] |= 1 << j
+        broken = broken or _completes_pattern(
+            i, j, v == PLUS, P, N, RP, RN, plus_rows[j], plus_cols[i]
+        )
 
     sweeps = 0
     while max_sweeps == "fixpoint" or sweeps < max_sweeps:
@@ -282,7 +308,9 @@ def propagate(
         sweeps += 1
         if not changed:
             break
-    return IncidenceMatrix(grid)
+    out = IncidenceMatrix(grid)
+    object.__setattr__(out, "_fill", ((P, N, RP, RN), plus_rows, plus_cols, broken))
+    return out
 
 
 # Auxiliary-construction kinds, mirroring the four allowed appends.

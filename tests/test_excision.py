@@ -266,6 +266,19 @@ class TestCanExcise:
                         assert can_excise(K, f, GroupSpec(False, (d,)))
 
 
+    @pytest.mark.parametrize("G", [GroupSpec(False, ()), GroupSpec(False, (1,))])
+    def test_trivial_group_excises_every_face(self, G):
+        from tilingcalc.complexes import nine_gon_grope
+
+        for builder in (*FIXTURES, nine_gon_grope, would_be_6_gon):
+            K = builder().complex
+            for f in range(len(K.faces)):
+                assert can_excise(K, f, G)
+            for f in (-1, len(K.faces)):
+                with pytest.raises(FaceNotFound):
+                    can_excise(K, f, G)
+
+
 class TestMemo:
     def test_only_the_latest_complex_is_kept(self):
         first = one_line_complex().complex
@@ -432,11 +445,28 @@ class TestClosingSigns:
     def test_certificate_leaves_need_a_smith_normal_form_only_off_surfaces(
         self, monkeypatch, name, snf
     ):
+        from dataclasses import replace
+
         from tilingcalc.certificates import SHIPPED_CERTIFICATES, validate_certificate
 
+        cert = SHIPPED_CERTIFICATES[name]()
+        # The shipped nine-gon certificate is over F_2*, the trivial group,
+        # where every face excises without a Smith normal form; over R* and
+        # F_3* its leaf, off any closed surface, still needs one.
+        groups = [GroupSpec.reals(), GroupSpec.finite_field(3)] if name == "nine-gon" else [cert.group]
+        for group in groups:
+            calls = self.spy_snf(monkeypatch)
+            assert validate_certificate(replace(cert, group=group)).ok
+            assert bool(calls) == snf, group
+
+    def test_no_smith_normal_form_over_the_trivial_group(self, monkeypatch):
+        from tilingcalc.certificates import nine_gon_certificate, validate_certificate
+
+        cert = nine_gon_certificate()
+        assert cert.group == GroupSpec.finite_field(2) == GroupSpec(False, (1,))
         calls = self.spy_snf(monkeypatch)
-        assert validate_certificate(SHIPPED_CERTIFICATES[name]()).ok
-        assert bool(calls) == snf
+        assert validate_certificate(cert).ok
+        assert not calls
 
     def test_other_complexes_fall_through_with_the_same_verdicts(self, monkeypatch):
         from tilingcalc.complexes import nine_gon_grope

@@ -25,12 +25,9 @@ from tilingcalc.gropes import (
     triangle_sphere,
     two_stage_grope_complex,
 )
-from tilingcalc.surfaces import (
-    DeltaComplex,
-    FaceNotFound,
-    euler_characteristic,
-    is_closed_orientable_surface,
-)
+from tilingcalc.surfaces import DeltaComplex, FaceNotFound, is_closed_orientable_surface
+
+from test_surfaces import euler_characteristic
 
 
 def from_triangles(nv, triangles):

@@ -44,7 +44,6 @@ from tilingcalc.surfaces import (
     MarkedFaceMismatch,
     NotBijective,
     NotSimplicial,
-    euler_characteristic,
     generate_theorem,
     is_closed_orientable_surface,
     octahedral_subdivide,
@@ -53,6 +52,10 @@ from tilingcalc.surfaces import (
     validate_elementary_proof,
 )
 from tilingcalc.ternary import contradiction_form
+
+
+def euler_characteristic(K: DeltaComplex) -> int:
+    return K.vertex_count - len(K.edges) + len(K.faces)
 
 
 def one_vertex_complex(face2):

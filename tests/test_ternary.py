@@ -390,6 +390,108 @@ class TestPropagateOracle:
         assert contradicts_incidence_axiom(out) is not None
 
 
+class TestPropagateFromAFill:
+    """A matrix that `propagate` returns keeps the state its scan ended
+    with, and propagating it again starts from there: no new whole-grid
+    pattern search, and the parent's state is left as it was for the
+    sibling case."""
+
+    SWEEPS = ("fixpoint", 1, 2)
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts the whole-grid pattern searches `propagate` makes."""
+        import tilingcalc.ternary as ternary
+
+        calls = []
+
+        def counted(mat, masks=None):
+            calls.append(mat)
+            return contradicts_incidence_axiom(mat, masks)
+
+        monkeypatch.setattr(ternary, "contradicts_incidence_axiom", counted)
+        return calls
+
+    def check_case_split(self, searches, mat, seeds, k1, k2, rng, completed):
+        """Propagate twice, as a certificate case node does: one zero cell
+        of the first result seeded both ways (with a random extra seed,
+        sometimes one on a decided cell with its own value), against the
+        naive rule applied twice.  Counts the second seeds that complete
+        a pattern, by sign."""
+        first = propagate(mat, seeds, k1)
+        assert first == naive_propagate(mat, seeds, k1)
+        zeros = first.zero_cells()
+        if not zeros:
+            return
+        i, j = rng.choice(zeros)
+        extra = []
+        if rng.random() < 0.5:
+            a, b = rng.randint(1, mat.m), rng.randint(1, mat.n)
+            if (a, b) != (i, j):
+                extra = [(a, b, first.entry(a, b) or rng.choice((-1, 1)))]
+        clean = contradicts_incidence_axiom(first) is None
+        for v in (-1, 1):
+            before = len(searches)
+            out = propagate(first, [(i, j, v)] + extra, k2)
+            assert len(searches) == before
+            want = naive_propagate(naive_propagate(mat, seeds, k1), [(i, j, v)] + extra, k2)
+            assert out == want, (mat, seeds, k1, (i, j, v), extra, k2)
+            if clean and contradicts_incidence_axiom(first.with_entry(i, j, v)) is not None:
+                completed[v] += 1
+        assert propagate(first, (), k2) == propagate(IncidenceMatrix(first.rows()), (), k2)
+
+    def test_agrees_with_naive_twice_on_random_matrices(self, searches):
+        rng = random.Random(20261022)
+        completed = {-1: 0, 1: 0}
+        for _ in range(400):
+            mat = IncidenceMatrix(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+            zeros = mat.zero_cells()
+            cells = rng.sample(zeros, min(len(zeros), rng.randint(0, 2)))
+            seeds = [(i, j, rng.choice((-1, 1))) for i, j in cells]
+            # no sweep first: a +1 seed can then complete a pattern, which
+            # a sweep would have prevented by committing -1 there
+            for k1 in (0, *self.SWEEPS):
+                for k2 in self.SWEEPS:
+                    self.check_case_split(searches, mat, seeds, k1, k2, rng, completed)
+        assert completed[-1] and completed[1], completed
+
+    def test_agrees_with_naive_twice_on_planted_matrices(self, searches):
+        rng = random.Random(20261023)
+        completed = {-1: 0, 1: 0}
+        cases = [(q, rng.randint(3, 16), rng.randint(3, 22)) for q in (2, 3, 4, 5, 7, 8, 9)]
+        for q, m, n in cases + [(9, 16, 22)]:
+            mat = planted_matrix(rng, m, n, q)
+            seeds = [(*rng.choice(mat.zero_cells()), rng.choice((-1, 1)))]
+            for k in self.SWEEPS:
+                self.check_case_split(searches, mat, seeds, k, k, rng, completed)
+
+    def test_seed_completing_a_pattern_turns_every_zero_to_minus(self, searches):
+        mat = IncidenceMatrix([[-1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]])
+        first = propagate(mat)
+        assert contradicts_incidence_axiom(first) is None and first.entry(3, 3) == 0
+        before = len(searches)
+        out = propagate(first, [(3, 3, -1)])
+        assert len(searches) == before
+        assert out == naive_propagate(first, [(3, 3, -1)])
+        assert all(out.entry(i, j) == -1 for i, j in first.zero_cells())
+
+    def test_bad_seeds_raise_as_on_a_fresh_matrix(self):
+        first = propagate(catalog.pappus_aux12_matrix(), [(10, 4, -1)])
+        fresh = IncidenceMatrix(first.rows())
+        assert first._fill is not None and fresh._fill is None
+        m, n = first.m, first.n
+        decided = [(i, j, -first.entry(i, j)) for i, j in ((1, 2), (10, 4), (m, n))]
+        outside = [(0, 1, 1), (m + 1, 1, -1), (1, n + 1, 1), (1, 0, -1)]
+        for seeds in [[seed] for seed in decided + outside] + [[(1, 1, -1), outside[1]]]:
+            errors = []
+            for mat in (first, fresh):
+                with pytest.raises((SeedConflict, IndexError)) as info:
+                    propagate(mat, seeds)
+                errors.append((info.type, str(info.value)))
+            assert errors[0] == errors[1], seeds
+        assert propagate(first) == first
+
+
 class TestAuxJoin:
     def test_point_on_two_lines_rows(self):
         out = catalog.pappus_base_matrix()
