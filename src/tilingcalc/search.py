@@ -12,13 +12,16 @@ forward checking narrows (Haralick & Elliott, AIJ 1980) and that is
 scanned lowest index first.  Pruning drops subtrees without solutions
 and subtrees that a collineation fixing the values chosen above maps onto
 an earlier subtree (Crawford, Ginsberg, Luks & Roy, KR 1996), so the
-counterexample found is still the first one in that order.  The
-projective collineations cut at every branch point until the elements
-those values fix hold a quadrangle; past it, over a field of prime-power
-but not prime order, the field automorphisms still cut while the values
-lie in one subplane over a proper subfield.  SearchStats counts the
-values tried at branch points (nodesExpanded) and the values forced
-because a domain narrowed to one (propagationsForced).
+counterexample found is still the first one in that order.  Where the
+variables still open fall into parts that share no matrix cell, each
+part is solved alone, so the search explores their sum instead of their
+product (Bayardo & Pehoushek, AAAI 2000).  The projective collineations
+cut at every branch point until the elements those values fix hold a
+quadrangle; past it, over a field of prime-power but not prime order,
+the field automorphisms still cut while the values lie in one subplane
+over a proper subfield.  SearchStats counts the values tried at branch
+points (nodesExpanded) and the values forced because a domain narrowed
+to one (propagationsForced).
 """
 
 from __future__ import annotations
@@ -59,12 +62,17 @@ class Verdict:
 
 
 def verify_configuration(mat: IncidenceMatrix, config: Configuration) -> bool:
-    """True iff every +1 cell is an incidence and every -1 cell is not."""
+    """True iff every +1 cell is an incidence and every -1 cell is not.
+    Each cell's dot product is read from the field's own addition and
+    multiplication tables, so the check shares nothing with the search's
+    plane tables."""
     check_sizes(mat, config)
     F = field(config.q)
-    for point, row in zip(config.points, mat.rows()):
-        for line, v in zip(config.lines, row):
-            if v and incident(F, point, line) != (v == 1):
+    add, mul = F._add, F._mul
+    for (a, b, c), row in zip(config.points, mat.rows()):
+        mul_a, mul_b, mul_c = mul[a], mul[b], mul[c]
+        for (x, y, z), v in zip(config.lines, row):
+            if v and (add[add[mul_a[x]][mul_b[y]]][mul_c[z]] == 0) != (v == 1):
                 return False
     return True
 
@@ -324,7 +332,7 @@ class _Searcher:
     holds, per variable, the bitmask of its neighbours and of those it
     shares a +1 cell with, so narrowing is one AND per neighbour, with
     the on mask of the value for a +1 cell and the off mask for a -1 cell.
-    check_theorem builds the table once for both phases; the
+    The table is built once per matrix and serves both phases; the
     counterexample phase adds that point 0 misses line 0 as one more -1
     cell, two OR-ed bits.  Narrowing visits only the variables not yet
     propagated (free): a propagated variable's one value was ANDed into
@@ -408,6 +416,31 @@ class _Searcher:
     y here: a lower solution.  So every verdict and every counterexample
     is that of the unbroken search.  The argument holds for any group of
     collineations that fixes S, one branch point at a time.
+
+    Independent parts.  The part table (see _constraints) holds, per
+    position of the order, the components of the constraint graph on the
+    variables from that position on.  The current part, the variables a
+    _solve call decides, is every variable or one such component, and a
+    component at a later position lies inside one at an earlier one.  At
+    a branch point every variable of the current part earlier in the
+    order is fixed, so the components there that hold its free variables
+    share no constraint through a free variable, and the solutions below
+    are the product of each one's solutions.  Where there are two or
+    more, _solve decides them one after another, each as the current
+    part: in the branching order while the cut acts, since the first
+    keeps the whole group and later ones start with less of it, and
+    smallest first once the cut has ended, since a small part is the
+    cheapest to refute.  An empty factor empties the product, so a
+    failing part fails the branch point, and no part's values are
+    retried for another part's failure: the search explores the sum of
+    the parts, not their product.  In any interleaving of the parts'
+    variables the lowest element of a product is the product of each
+    factor's lowest, so the first solution is still that of the unbroken
+    search.  A later part starts from the cells the earlier one ended
+    with.  The group fixing those values lies inside the group at the
+    split, so every domain, a union of orbits of the larger group, stays
+    a union of orbits of the smaller, and the argument that the lowest
+    solution survives holds inside each part as it does above.
     """
 
     def __init__(self, table, q, forbid_conclusion, stats, node_budget):
@@ -415,13 +448,15 @@ class _Searcher:
         self.q = q
         self.stats = stats
         self.budget = node_budget
-        self.m, self.nbr, self.plus, self.order = table
+        self.m, self.nbr, self.plus, self.order, self.parts = table
         if forbid_conclusion:  # after the order, which it must not change
             self.nbr = list(self.nbr)
             self.nbr[0] |= 1 << self.m
             self.nbr[self.m] |= 1
         self.dom = [self.tables.full] * len(self.nbr)
         self.free = (1 << len(self.nbr)) - 1
+        self.part = self.free  # the variables the current _solve call decides
+        self.cells = None  # the cells the last solved part ended with
 
     def _narrow(self, u: int) -> bool:
         """Propagate the one value of variable u: AND each free neighbour's
@@ -469,16 +504,29 @@ class _Searcher:
         return self._solve(0, _ProjectiveCells(self.q, (0, 0), ()))  # nothing chosen
 
     def _solve(self, pos: int, cells) -> bool:
-        """Whether a solution lies below this point, leaving the first one
-        in the domains; cells are those of the values chosen at the branch
+        """Whether a solution of the current part lies below this point,
+        leaving the first one in the domains and the cells it ended with
+        in self.cells; cells are those of the values chosen at the branch
         points above, or None once the cut has ended."""
-        dom, order, stats = self.dom, self.order, self.stats
+        dom, order, stats, part = self.dom, self.order, self.stats, self.part
         while pos < len(order):
             u = order[pos]
             domain = dom[u]
-            if not domain & (domain - 1):  # one value: already fixed
+            if not domain & (domain - 1) or not part >> u & 1:  # fixed, or another part's
                 pos += 1
                 continue
+            parts, open_ = self.parts[pos], part & self.free
+            if parts is not None and open_ & ~parts[0]:  # open parts besides u's
+                split = [c for c in parts if c & open_]
+                if cells is None:  # no cut left for the first part to keep
+                    split.sort(key=int.bit_count)
+                for self.part in split:
+                    solved = self._solve(pos, cells)
+                    if not solved:  # the product of the parts' solutions is empty
+                        break
+                    cells = self.cells
+                self.part = part
+                return solved
             side = LINE if u >= self.m else POINT
             if cells is not None:  # one value per orbit; see the class docstring
                 domain &= cells.reps[side]
@@ -498,14 +546,22 @@ class _Searcher:
                 dom[:] = saved
                 self.free = free
             return False
+        self.cells = cells
         return True
 
 
 def _constraints(mat: IncidenceMatrix):
     """The search's constraint table for mat: m, and per flat variable
     (points 0..m-1, lines m..m+n-1) the bitmask of its neighbours and of
-    those it shares a +1 cell with, and the branching order, most
-    neighbours first and then by index."""
+    those it shares a +1 cell with, the branching order, most neighbours
+    first and then by index, and the part table: per position of the
+    order, the components of the constraint graph on the variables from
+    that position on, with the conclusion cell as one more edge so that
+    both phases share it: the one holding the variable at that position
+    first, then in the order they are first reached, or None where there
+    is one.  Built once per matrix and kept in its private slot _search."""
+    if mat._search is not None:
+        return mat._search
     rows = mat.rows()
     m = len(rows)
     size = m + len(rows[0])
@@ -519,7 +575,22 @@ def _constraints(mat: IncidenceMatrix):
                     plus[i] |= 1 << j
                     plus[j] |= 1 << i
     order = sorted(range(size), key=lambda u: -nbr[u].bit_count())
-    return m, nbr, plus, order
+    parts, components = [None] * size, []
+    for pos in range(size - 1, -1, -1):  # add each variable, merging what it links
+        u = order[pos]
+        links = nbr[u] | (u == 0) << m | (u == m)
+        merged, rest = 1 << u, []
+        for c in components:
+            if c & links:
+                merged |= c
+            else:
+                rest.append(c)
+        components = [merged, *rest]
+        if rest:
+            parts[pos] = tuple(components)
+    table = m, nbr, plus, order, parts
+    object.__setattr__(mat, "_search", table)
+    return table
 
 
 def check_theorem(mat: IncidenceMatrix, q: int, node_budget: int = 10**8) -> Verdict:

@@ -51,9 +51,11 @@ class JsonText:
 class IncidenceMatrix(JsonText):
     """Immutable m x n grid over {-1, 0, +1}.  A matrix that ``propagate``
     returns also holds the state its scan ended with (``_fill``), so that
-    propagating it again starts from there; any other matrix holds None."""
+    propagating it again starts from there; any other matrix holds None.
+    The search keeps its constraint table for the matrix in ``_search``
+    (see ``search._constraints``), None until the first search."""
 
-    __slots__ = ("m", "n", "_rows", "_fill")
+    __slots__ = ("m", "n", "_rows", "_fill", "_search")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         rows = tuple(tuple(row) for row in entries)
@@ -70,6 +72,7 @@ class IncidenceMatrix(JsonText):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_fill", None)
+        object.__setattr__(self, "_search", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("IncidenceMatrix is immutable")

@@ -62,7 +62,7 @@ from tilingcalc.plane import incident
 from tilingcalc.realize import multiplicative_cochain, realize_from_cochain
 from tilingcalc.search import check_theorem, verify_configuration
 from tilingcalc.surfaces import generate_theorem, octahedral_subdivide
-from tilingcalc.ternary import propagate
+from tilingcalc.ternary import IncidenceMatrix, propagate
 
 
 def test_01_propagation_reproduces_the_recorded_case_matrices():
@@ -318,3 +318,42 @@ def test_13_field_spectrum_past_order_nine_decides_the_search():
             assert cfg is not None and verify_configuration(mat, cfg), (mat, q)
             assert not incident(field(q), cfg.points[0], cfg.lines[0])
             assert outcome == "counterexample", (mat, q)
+
+
+def relabeled(mat: IncidenceMatrix, rng: random.Random) -> IncidenceMatrix:
+    """mat with its rows and columns permuted, row 1 and column 1 kept."""
+    rows = [0, *rng.sample(range(1, mat.m), mat.m - 1)]
+    cols = [0, *rng.sample(range(1, mat.n), mat.n - 1)]
+    grid = mat.rows()
+    return IncidenceMatrix([[grid[i][j] for j in cols] for i in rows])
+
+
+def test_14_search_verdicts_survive_relabeling_and_duality_past_order_nine():
+    # relations that need no second search: relabeling the points and lines
+    # other than point 1 and line 1, and swapping points and lines (the
+    # plane is self-dual), keep the theorem, though the branching order,
+    # the cuts and the parts change.  Each generated theorem, a seeded
+    # relabeling of it and, below order 17, its transpose (whose searches
+    # at 17 and 19 take up to 130,000 nodes) must get test_12's verdict
+    # over orders 11 to 19, and every counterexample must verify
+    rng = random.Random(14)
+    for mc in (
+        desargues_tetrahedron(),
+        one_line_complex(),
+        bijective_pappus_torus(),
+        nine_gon_grope(),
+        non_grope_complex(),
+    ):
+        mat = generate_theorem(mc)
+        for q in (11, 13, 16, 17, 19):
+            excises = can_excise(mc.complex, mc.marked, GroupSpec.finite_field(q))
+            forms = [mat, relabeled(mat, rng)] + [mat.transpose()] * (q < 17)
+            for form in forms:
+                verdict = check_theorem(form, q, node_budget=300_000)
+                if excises:
+                    assert verdict.outcome == "true", (form, q)
+                    continue
+                cex = verdict.counterexample
+                assert verdict.outcome == "counterexample", (form, q)
+                assert verify_configuration(form, cex), (form, q)
+                assert not incident(field(q), cex.points[0], cex.lines[0]), (form, q)

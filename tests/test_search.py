@@ -780,26 +780,33 @@ class TestFrobeniusCells:
 
 
 @functools.lru_cache(maxsize=None)
-def pinned_verdicts() -> list:
-    """The verdicts over the catalog and generated theorems at every order
-    up to 9, with the benchmark's node budget, then over the random cases
-    of TestSymmetryBreaking."""
+def pinned_cases() -> list:
+    """(matrix, q, node budget): the catalog and generated theorems at
+    every order up to 9, with the benchmark's node budget, then the random
+    cases of TestSymmetryBreaking."""
     cases = [
         (build() if name in CATALOG else generate_theorem(build()), q, 12_000)
         for name, build in {**CATALOG, **GENERATED}.items()
         for q in (2, 3, 4, 5, 7, 8, 9)
     ]
-    cases += [(mat, q, 10**8) for mat, q in TestSymmetryBreaking.cases()]
-    return [check_theorem(mat, q, node_budget=budget) for mat, q, budget in cases]
+    return cases + [(mat, q, 10**8) for mat, q in TestSymmetryBreaking.cases()]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_verdicts() -> list:
+    """The verdicts over pinned_cases()."""
+    return [check_theorem(mat, q, node_budget=budget) for mat, q, budget in pinned_cases()]
 
 
 class TestPinnedVerdicts:
-    """A change to how the search runs keeps its answers: the digests of
-    the verdicts' JSON are those of the search before the flat variable
-    index."""
+    """A change to how the search runs keeps its answers: OUTCOMES, the
+    digest of the verdicts' JSON without their stats, is that of the
+    search before the flat variable index, and STATS, the digest of the
+    stats, is that of the search that solves independent parts one after
+    another from the part table (see search._constraints)."""
 
     OUTCOMES = "403fe01afb082ce9ac65068ef9d8eb22a789f70eb759996c3ac14a9c46d9760f"
-    STATS = "eeb9826d892562ce379f6844b5af0f0daea9c4a6b0e866e58516a60f47f3ee25"
+    STATS = "445ce0a87a7a529c8a831f74f95d52db47250e940b6734a4ad114cd67fa3848a"
 
     @staticmethod
     def digest(objs) -> str:
@@ -821,3 +828,68 @@ class TestPinnedVerdicts:
             for triple in c.points + c.lines:
                 assert triple == normalize(F, triple)
                 assert all(type(v) is int for v in triple)
+
+
+def without_parts(monkeypatch):
+    """Empty the part table: every _solve call then scans the open
+    variables in the branching order, as one part (the unsplit search)."""
+    constraints = search._constraints
+
+    def unsplit(mat):
+        m, nbr, plus, order, parts = constraints(mat)
+        return m, nbr, plus, order, [None] * len(parts)
+
+    monkeypatch.setattr(search, "_constraints", unsplit)
+
+
+def block_diagonal_cases() -> list:
+    """200 seeded (matrix, q): two random blocks of at most 4 x 4 on the
+    diagonal, zero elsewhere, so the points and lines of each block share
+    no cell with the other block's."""
+    rng = random.Random(1100)
+    cases = []
+    for _ in range(200):
+        blocks = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(2)]
+        n = sum(b for _, b in blocks)
+        rows, col = [], 0
+        for a, b in blocks:
+            for _ in range(a):
+                row = [0] * n
+                row[col : col + b] = [rng.choice([-1, 0, 1, 1]) for _ in range(b)]
+                rows.append(row)
+            col += b
+        cases.append((IncidenceMatrix(rows), rng.choice([2, 3, 4, 5, 7])))
+    return cases
+
+
+class TestIndependentParts:
+    """Solving the parts that share no matrix cell one after another keeps
+    every verdict and first counterexample of the unsplit search."""
+
+    @staticmethod
+    def verdicts(cases) -> list:
+        return [check_theorem(mat, q, node_budget=budget) for mat, q, budget in cases]
+
+    def test_agrees_with_unsplit_search(self, monkeypatch):
+        blocks = [(mat, q, 10**8) for mat, q in block_diagonal_cases()]
+        solve, restricted = _Searcher._solve, []
+
+        def counted_solve(self, pos, cells):  # a call deciding one part of several
+            restricted.append(self.part != (1 << len(self.dom)) - 1)
+            return solve(self, pos, cells)
+
+        monkeypatch.setattr(_Searcher, "_solve", counted_solve)
+        split = pinned_verdicts() + self.verdicts(blocks)
+        monkeypatch.setattr(_Searcher, "_solve", solve)
+        assert sum(restricted) >= 2 * len(blocks)  # both blocks of each, at least
+        without_parts(monkeypatch)
+        cases = pinned_cases() + blocks
+        for (mat, q, _), a, b in zip(cases, split, self.verdicts(cases)):
+            assert (a.outcome, a.counterexample) == (b.outcome, b.counterexample), (
+                mat.rows(), q)
+
+    def test_non_grope_node_ceiling(self):
+        # past branch position 9 its open variables fall into parts of 6
+        # and 19 variables; the unsplit search takes 2,145 nodes
+        verdict = check_theorem(generate_theorem(non_grope_complex()), 7, node_budget=600)
+        assert verdict.outcome == "true"
